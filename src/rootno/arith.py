@@ -325,25 +325,25 @@ _RHO_LIMIT = 1 << 13
 # ECM levels as (B1, curves), with B2 = 100 * B1: B1 is the usual choice
 # for prime factors of about 10, 12, 15, 20 and 25 digits. The small levels
 # run fewer curves than it takes to find such a factor two times in three,
-# so larger factors reach their level sooner. The last level repeats until
-# a factor turns up.
+# so larger factors reach their level sooner. Each level runs once: a
+# cofactor that survives the last one raises ValueError.
 _ECM_LEVELS = ((150, 6), (500, 15), (2000, 30), (11000, 90), (50000, 200))
 
 
 def _find_factor(n: int, rng: random.Random) -> int:
     """A proper divisor of the composite n, which has no prime factor below
-    the trial bound: capped rho first, then ECM at rising levels."""
+    the trial bound: capped rho first, then each ECM level once. Raises
+    ValueError when every level fails."""
     d = _brent_rho(n, rng, _RHO_LIMIT)
     if 1 < d < n:
         return d
-    level = 0
-    while True:
-        B1, curves = _ECM_LEVELS[level]
+    for B1, curves in _ECM_LEVELS:
         for _ in range(curves):
             d = _ecm_curve(n, rng.randrange(6, n - 1), B1)
             if 1 < d < n:
                 return d
-        level = min(level + 1, len(_ECM_LEVELS) - 1)
+    raise ValueError("cannot split a %d-bit composite cofactor: its prime "
+                     "factors are beyond the last ECM level" % n.bit_length())
 
 
 @lru_cache(maxsize=None)

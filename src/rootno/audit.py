@@ -15,10 +15,10 @@ disagrees with enumeration.  Records are plain dicts; ``ledger_json``
 serializes the result deterministically so repeated runs are
 byte-identical.
 
-``classical_local_root_number`` is a cross-check hook against
+``classical_local_root_number`` and ``classical_cross_check`` read
 externally supplied local root number data; no data ships with the
-package, so without the ROOTNO_CLASSICAL_DATA environment variable it
-raises FeatureDisabled.
+package, so without the ROOTNO_CLASSICAL_DATA environment variable they
+raise FeatureDisabled.
 """
 
 import json
@@ -26,7 +26,8 @@ import os
 from typing import Optional
 
 from .arith import factorize, is_prime, legendre, valuation
-from .constancy import check_f, check_f_table1, check_l_lemma
+from .constancy import (check_f, check_f_table1, check_l_lemma,
+                        require_progression)
 from .local_signs import w_star_hit
 from .root_number import breakdown_f, breakdown_l, root_number_f, root_number_l
 
@@ -36,15 +37,6 @@ _UNIT_CAP = 64
 
 class FeatureDisabled(RuntimeError):
     """Raised when an optional data-backed feature has no data."""
-
-
-def _require_progression(a: int, b: int) -> None:
-    if not isinstance(a, int) or not isinstance(b, int):
-        raise ValueError("progression parameters a, b must be integers")
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    if b == 0:
-        raise ValueError("b must be nonzero")
 
 
 def _sqrt_mod_odd_prime(n: int, p: int) -> int:
@@ -101,8 +93,7 @@ def probe_set(p: int, s: int, a: int, b: int) -> list:
         raise ValueError("p must be prime")
     if not isinstance(s, int) or s == 0:
         raise ValueError("s must be a nonzero integer")
-    _require_progression(a, b)
-    a = abs(a)
+    a = require_progression(a, b)
 
     vs, s_unit = valuation(p, s)
     va, a_unit = valuation(p, a)
@@ -176,7 +167,7 @@ def falsify_constancy(s: int, a: int, b: int, budget: int = 1000) -> Optional[tu
     """
     if not isinstance(s, int) or s == 0:
         raise ValueError("s must be a nonzero integer")
-    _require_progression(a, b)
+    require_progression(a, b)
 
     first = None
 
@@ -350,13 +341,9 @@ def ledger_json(result: dict) -> str:
     return json.dumps(result, indent=2, sort_keys=True) + "\n"
 
 
-def classical_local_root_number(p: int, s: int, t: int) -> int:
-    """Local root number from externally supplied classical data.
-
-    Looks for local_signs.json under $ROOTNO_CLASSICAL_DATA, keyed
-    "p:s:t".  No data ships with the package; without it this raises
-    FeatureDisabled so callers can skip with a reason.
-    """
+def _classical_data() -> dict:
+    """The "p:s:t" -> sign map in $ROOTNO_CLASSICAL_DATA/local_signs.json;
+    FeatureDisabled without it, so callers can skip with a reason."""
     root = os.environ.get("ROOTNO_CLASSICAL_DATA")
     if not root:
         raise FeatureDisabled(
@@ -367,8 +354,35 @@ def classical_local_root_number(p: int, s: int, t: int) -> int:
         raise FeatureDisabled(
             "classical oracle disabled: %s has no local_signs.json" % root)
     with open(path) as handle:
-        data = json.load(handle)
+        return json.load(handle)
+
+
+def classical_local_root_number(p: int, s: int, t: int) -> int:
+    """Local root number from externally supplied classical data."""
+    data = _classical_data()
     key = "%d:%d:%d" % (p, s, t)
     if key not in data:
         raise KeyError("no classical datum for %s" % key)
     return int(data[key])
+
+
+def classical_cross_check(out: dict) -> None:
+    """Add to a run_paper_examples result one classical-vs-table record per
+    nonsingular datum whose sign the tables contradict, and a checked line."""
+    data = _classical_data()
+    compared = 0
+    for key in sorted(data):
+        p, s, t = (int(x) for x in key.split(":"))
+        try:
+            hit = w_star_hit(p, s, t)
+        except ValueError:
+            continue
+        compared += 1
+        if hit.sign != data[key]:
+            out["records"].append({
+                "kind": "classical-vs-table",
+                "p": p, "s": s, "t": t,
+                "classical": data[key], "table": hit.sign,
+                "table_row": "%s:%s" % (hit.table, hit.row_id),
+            })
+    out["checked"].append("classical oracle: compared %d local signs" % compared)

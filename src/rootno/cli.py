@@ -14,15 +14,13 @@ Exit codes: 0 success, constant verdict, or empty audit ledger;
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .audit import falsify_constancy, ledger_json, run_paper_examples
+from .audit import (FeatureDisabled, classical_cross_check, falsify_constancy,
+                    ledger_json, run_paper_examples)
 from .constancy import check_f, check_f_table1
 from .families import is_singular, l_to_f
-from .local_signs import w_star_hit
 from .rank_jump import rank_jump_report
 from .root_number import breakdown_f
 
@@ -63,11 +61,7 @@ def cmd_root_number(args) -> int:
     if args.family == "l":
         if args.w is None or args.v is None:
             raise _UsageError("--family l needs --w and --v")
-        S, T = l_to_f(Fraction(args.w), Fraction(args.s), Fraction(args.v),
-                      Fraction(args.t))
-        if S.denominator != 1 or T.denominator != 1:
-            raise _UsageError("reduction (s*w^2, w*(t^2+v)) is not integral")
-        S, T = S.numerator, T.numerator
+        S, T = l_to_f(args.w, args.s, args.v, args.t)
     else:
         if args.w is not None or args.v is not None:
             raise _UsageError("--w/--v only apply to --family l")
@@ -75,7 +69,10 @@ def cmd_root_number(args) -> int:
     if is_singular(S, T):
         print("singular fibre (s=%d, t=%d)" % (S, T), file=sys.stderr)
         return EXIT_SINGULAR
-    bd = breakdown_f(S, T)
+    try:
+        bd = breakdown_f(S, T)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     if args.json:
         record = {"family": args.family, "s": args.s, "t": args.t}
         if args.family == "l":
@@ -154,20 +151,6 @@ def _scan_record(job) -> dict:
             "factors": dict(bd.factors)}
 
 
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        raw = os.environ.get("ROOTNO_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise _UsageError("ROOTNO_JOBS must be an integer, got %r" % raw)
-    if jobs < 1:
-        raise _UsageError("jobs must be >= 1")
-    return jobs
-
-
 def cmd_scan(args) -> int:
     if args.s == 0:
         raise _UsageError("s must be nonzero")
@@ -175,16 +158,22 @@ def cmd_scan(args) -> int:
         raise _UsageError("a must be nonzero")
     if args.u_min > args.u_max:
         raise _UsageError("--u-min must not exceed --u-max")
-    jobs = _resolve_jobs(args)
+    if args.jobs < 1:
+        raise _UsageError("jobs must be >= 1")
     work = [(args.s, args.a, args.b, u)
             for u in range(args.u_min, args.u_max + 1)]
-    if jobs == 1 or len(work) < 2:
-        rows = [_scan_record(job) for job in work]
-    else:
-        # ordered map keeps the output byte-identical for any job count
-        chunk = max(1, len(work) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_record, work, chunksize=chunk))
+    try:
+        if args.jobs == 1 or len(work) < 2:
+            rows = [_scan_record(job) for job in work]
+        else:
+            # imported here: the process pool costs about 15 ms of start-up
+            from concurrent.futures import ProcessPoolExecutor
+            # ordered map keeps the output byte-identical for any job count
+            chunk = max(1, len(work) // (4 * args.jobs))
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(_scan_record, work, chunksize=chunk))
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     plus = sum(1 for r in rows if r["W"] == 1)
     minus = sum(1 for r in rows if r["W"] == -1)
     singular = sum(1 for r in rows if r["singular"])
@@ -251,37 +240,14 @@ def cmd_rank_jump(args) -> int:
     return EXIT_OK
 
 
-def _classical_cross_check(out: dict) -> None:
-    root = os.environ.get("ROOTNO_CLASSICAL_DATA")
-    path = os.path.join(root, "local_signs.json") if root else None
-    if path is None or not os.path.exists(path):
-        print("rootno: classical oracle has no data; skipping oracle rows",
-              file=sys.stderr)
-        return
-    with open(path) as fh:
-        data = json.load(fh)
-    compared = 0
-    for key in sorted(data):
-        p, s, t = (int(x) for x in key.split(":"))
-        try:
-            hit = w_star_hit(p, s, t)
-        except ValueError:
-            continue
-        compared += 1
-        if hit.sign != data[key]:
-            out["records"].append({
-                "kind": "classical-vs-table",
-                "p": p, "s": s, "t": t,
-                "classical": data[key], "table": hit.sign,
-                "table_row": "%s:%s" % (hit.table, hit.row_id),
-            })
-    out["checked"].append("classical oracle: compared %d local signs" % compared)
-
-
 def cmd_audit(args) -> int:
     out = run_paper_examples()
     if args.with_classical_oracle:
-        _classical_cross_check(out)
+        try:
+            classical_cross_check(out)
+        except FeatureDisabled:
+            print("rootno: classical oracle has no data; skipping oracle rows",
+                  file=sys.stderr)
     sys.stdout.write(ledger_json(out))
     return EXIT_RECORDS if out["records"] else EXIT_OK
 
@@ -335,8 +301,8 @@ def _build_parser() -> _Parser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int,
-                   help="worker processes (default: $ROOTNO_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default: 1)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("rank-jump", help="conditional rank-jump report")

@@ -11,8 +11,9 @@ with the matched condition ids; ``check_f_p`` isolates a single prime.
 (nu2(a)-nu2(b), nu2(s) mod 4, nu2(s)-2*nu2(a), b2 mod 4).  The two routes
 are kept separate so their disagreements stay visible: the condition
 lane C3b has no counterpart row, and enumeration shows C3b is itself
-wrong when nu2(s) % 4 == 0 (see the audit module).  Neither route is
-patched to match the other.
+wrong when nu2(s) % 4 == 0 (see the audit module) and on some
+progressions when nu2(s) % 4 == 2 (s = -12, t = 8u + 6).  Neither route
+is patched to match the other.
 
 ``check_l_corollary`` and ``check_l_lemma`` are sufficiency checks for
 the twisted family w*y^2 = x^3 + 3(t^2+v)x^2 + 3sx + s(t^2+v) with
@@ -74,8 +75,9 @@ def _nu(p: int, x: int) -> int:
     return valuation(p, x)[0]
 
 
-def _require_progression(a: int, b: int) -> int:
-    if not isinstance(a, int) or not isinstance(b, int):
+def require_progression(a: int, b: int) -> int:
+    """|a| of the progression t = a*u + b; rejects bools, non-ints, zeros."""
+    if type(a) is not int or type(b) is not int:
         raise ValueError("progression parameters a, b must be integers")
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -145,7 +147,7 @@ def check_f(s: int, a: int, b: int) -> Verdict:
     sign of a Constant verdict is the root number of the u = 0 fibre
     (never singular since s < 0).
     """
-    a = _require_progression(a, b)
+    a = require_progression(a, b)
     if as_minus_3_square(s) is None:
         return Verdict(False, None, (), NOT_MINUS_3_SQUARE)
     matched = []
@@ -174,7 +176,7 @@ def check_f_p(p: int, s: int, a: int, b: int) -> Verdict:
     Unlike check_f this raises for s outside the -3r^2 gate, because the
     per-prime condition lists are only defined there.
     """
-    a = _require_progression(a, b)
+    a = require_progression(a, b)
     if not is_prime(p):
         raise ValueError("p must be prime")
     if as_minus_3_square(s) is None:
@@ -224,7 +226,7 @@ def check_f_table1(s: int, a: int, b: int) -> Optional[str]:
     This is intentionally not derived from check_f_p(2, ...): the two
     routes are compared against each other in tests and in the audit.
     """
-    a = _require_progression(a, b)
+    a = require_progression(a, b)
     if as_minus_3_square(s) is None:
         raise ValueError("check_f_table1 requires s = -3*r^2 with r nonzero")
     nu_s = _nu(2, s)

@@ -26,16 +26,16 @@ m = nu(t^2-s) - 2 nu(t) in the equal-valuation tables T5/T7/T9/T12, and
 k = 2 nu(t) - nu(s) in T3).
 
 Known divergences between these tables and other published claims are
-deliberately NOT patched here: the rows are kept exactly as transcribed, and
-the errata overlay below stays empty so that discrepancies are reported by
-the audit machinery instead of silently fixed.
+deliberately NOT patched here: the rows are kept exactly as transcribed, so
+that discrepancies are reported by the audit machinery instead of silently
+fixed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from rootno.arith import legendre, valuation, valuation_or_inf
 from rootno.families import is_singular
@@ -88,10 +88,6 @@ class LocalProfile:
 
     def leg(self, a: int) -> Sign:
         return legendre(a, self.p)
-
-
-def profile(p: int, s: int, t: int) -> LocalProfile:
-    return LocalProfile(p, s, t)
 
 
 def _sgn4(x: int) -> Sign:
@@ -630,20 +626,6 @@ TABLES: dict[str, list[Row]] = {
     "T8": T8, "T9": T9, "T10a": T10a, "T10b": T10b, "T11": T11, "T12": T12,
 }
 
-# Empty on purpose: corrections would go here as (table id, row ordinal) ->
-# replacement Row, but divergences are reported by audit, never patched.
-ERRATA_OVERLAY: dict[tuple[str, int], Row] = {}
-
-
-def table_rows(table_id: str) -> list[Row]:
-    rows = TABLES[table_id]
-    if not ERRATA_OVERLAY:
-        return rows
-    return [
-        ERRATA_OVERLAY.get((table_id, i), row) for i, row in enumerate(rows)
-    ]
-
-
 def transcription() -> dict[str, list[tuple[int, str, str]]]:
     """(ordinal, row id, printed value) per table, for audit references."""
     return {
@@ -685,9 +667,9 @@ class RowHit:
 
 def w_star_hit(p: int, s: int, t: int) -> RowHit:
     """Like w_star but reports which table row produced the sign."""
-    q = profile(p, s, t)
+    q = LocalProfile(p, s, t)
     tid = dispatch_table(q)
-    for row in table_rows(tid):
+    for row in TABLES[tid]:
         if row.guard(q):
             return RowHit(tid, row.cell, row.row_id, row.value(q))
     raise TableFallthrough(

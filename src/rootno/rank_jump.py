@@ -36,18 +36,9 @@ from .arith import (
     legendre,
     valuation,
 )
-from .constancy import check_f
+from .constancy import check_f, require_progression
 
 BANNER = "conditional on the parity conjecture"
-
-
-def _require_progression(a: int, b: int) -> None:
-    if not isinstance(a, int) or not isinstance(b, int):
-        raise ValueError("progression parameters a, b must be integers")
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    if b == 0:
-        raise ValueError("b must be nonzero")
 
 
 def _require_quartic(s: int) -> int:
@@ -172,7 +163,7 @@ def forced_sign(p: int, s: int, a: int, b: int) -> Optional[int]:
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError("p must be prime")
     _require_quartic(s)
-    _require_progression(a, b)
+    require_progression(a, b)
     if p == 2:
         return _forced_sign_p2(s, a, b)
     if p == 3:
@@ -238,7 +229,7 @@ def forced_sign_kq(q: int, a: int, b: int) -> dict:
     """
     if not isinstance(q, int) or q < 5 or not is_prime(q):
         raise ValueError("q must be a prime >= 5")
-    _require_progression(a, b)
+    require_progression(a, b)
     s = -12 * q**4
     return {2: _kq_at_2(s, a, b), 3: 1, q: _kq_at_q(q, a, b)}
 
@@ -254,7 +245,7 @@ def rank_jump_report(s: int, a: int, b: int) -> dict:
     """
     if not isinstance(s, int) or s == 0:
         raise ValueError("s must be a nonzero integer")
-    _require_progression(a, b)
+    require_progression(a, b)
     generic = generic_rank(s)
     report = {"s": s, "a": a, "b": b, "generic_rank": generic}
     forced_w = None

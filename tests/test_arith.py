@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootno import arith
 from rootno.arith import (
     as_minus_3_square,
     as_minus_12_fourth,
@@ -200,6 +201,17 @@ def test_factorize_cracks_a_balanced_semiprime():
     assert is_prime(p) and is_prime(q)
     assert factorize(p * q) == (1, [(p, 1), (q, 1)])
     assert factorize(-p * q) == (-1, [(p, 1), (q, 1)])
+
+
+def test_factorize_gives_up_after_the_last_ecm_level(monkeypatch):
+    # one tiny level cannot split two 40-bit primes, and rho stops at
+    # about 26 bits: factoring must end with a clear error, not loop
+    monkeypatch.setattr(arith, "_ECM_LEVELS", ((10, 1),))
+    p = 549755826233                 # next prime after 2**39 + 12345
+    q = 1099511529101                # next prime after 2**40 - 98765
+    assert is_prime(p) and is_prime(q)
+    with pytest.raises(ValueError, match="79-bit"):
+        factorize(p * q)
 
 
 def test_factorize_powers_of_large_primes():

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import rootno
+from rootno import arith, cli
 from rootno.root_number import breakdown_f
 
 PACKAGE_ROOT = str(Path(rootno.__file__).resolve().parents[1])
@@ -24,7 +25,6 @@ PACKAGE_ROOT = str(Path(rootno.__file__).resolve().parents[1])
 
 def cli_env(env=None):
     merged = dict(os.environ)
-    merged.pop("ROOTNO_JOBS", None)
     merged.pop("ROOTNO_CLASSICAL_DATA", None)
     if env:
         merged.update(env)
@@ -75,6 +75,20 @@ def test_root_number_usage_errors():
                    "--t", "6").returncode == 64
     assert run_cli("root-number", "--family", "f", "--s", "-3", "--t", "1",
                    "--w", "7").returncode == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("root-number", "--family", "f", "--t", "1"),
+    ("scan", "--a", "1", "--b", "1", "--u-min", "0", "--u-max", "1"),
+])
+def test_unfactorable_fibre_is_a_usage_error(monkeypatch, capsys, argv):
+    # in-process, so the ECM schedule can be cut to one tiny level: s is
+    # a product of two 40-bit primes that no level then splits
+    monkeypatch.setattr(arith, "_ECM_LEVELS", ((10, 1),))
+    s = -549755826233 * 1099511529101
+    assert cli.main([*argv, "--s", str(s)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("rootno: error: cannot split a 79-bit")
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +237,8 @@ def test_scan_jobs_do_not_change_the_bytes():
             "--u-min", "-20", "--u-max", "20", "--csv")
     serial = run_cli(*argv)
     parallel = run_cli(*argv, "--jobs", "3")
-    via_env = run_cli(*argv, env={"ROOTNO_JOBS": "4"})
-    assert serial.returncode == parallel.returncode == via_env.returncode == 0
-    assert serial.stdout == parallel.stdout == via_env.stdout
+    assert serial.returncode == parallel.returncode == 0
+    assert serial.stdout == parallel.stdout
 
 
 def test_scan_usage_errors():
@@ -241,9 +254,6 @@ def test_scan_usage_errors():
     assert run_cli("scan", "--s", "-3", "--a", "1", "--b", "1",
                    "--u-min", "0", "--u-max", "1",
                    "--jobs", "0").returncode == 64
-    assert run_cli("scan", "--s", "-3", "--a", "1", "--b", "1",
-                   "--u-min", "0", "--u-max", "1",
-                   env={"ROOTNO_JOBS": "many"}).returncode == 64
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from rootno.audit import falsify_constancy, probe_set
 from rootno.constancy import (
     Sufficiency,
     Verdict,
@@ -24,6 +25,7 @@ from rootno.constancy import (
     check_l_lemma,
 )
 from rootno.local_signs import w_star
+from rootno.rank_jump import forced_sign, forced_sign_kq, rank_jump_report
 from rootno.root_number import root_number_f, root_number_l
 
 
@@ -67,6 +69,29 @@ def test_check_f_input_validation():
         check_f(-3, 4, 0)
 
 
+_PROGRESSION_CALLS = {
+    "check_f": lambda a, b: check_f(-12, a, b),
+    "check_f_p": lambda a, b: check_f_p(2, -12, a, b),
+    "check_f_table1": lambda a, b: check_f_table1(-12, a, b),
+    "forced_sign": lambda a, b: forced_sign(2, -12, a, b),
+    "forced_sign_kq": lambda a, b: forced_sign_kq(5, a, b),
+    "rank_jump_report": lambda a, b: rank_jump_report(-12, a, b),
+    "probe_set": lambda a, b: probe_set(2, -12, a, b),
+    "falsify_constancy": lambda a, b: falsify_constancy(-12, a, b, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROGRESSION_CALLS))
+@pytest.mark.parametrize("a,b", [(True, 1), (8, True)])
+def test_progression_entry_points_reject_bool(name, a, b):
+    # True == 1 is an int to isinstance; every progression entry point
+    # shares one validator that refuses it
+    call = _PROGRESSION_CALLS[name]
+    call(8, 1)
+    with pytest.raises(ValueError):
+        call(a, b)
+
+
 def test_check_f_negative_a_same_progression():
     # aZ+b and (-a)Z+b are the same set of fibres
     assert check_f(-7500, -6000, 60) == check_f(-7500, 6000, 60)
@@ -88,12 +113,33 @@ def test_check_f_divergent_lane_c3b_block0():
 
 
 def test_check_f_c3b_block2_is_sound():
-    # Same lane, nu2(s) % 4 == 2: here enumeration does stay constant.
+    # Same lane, nu2(s) % 4 == 2, at b = 2: on this progression enumeration
+    # does stay constant.  The lane is not sound for the whole block; see
+    # the b = 6 pin below.
     v = check_f(-12, 8, 2)
     assert v.constant is True
     assert v.sign == -1
     assert v.matched == ("P3.2", "C3b")
     assert set(root_number_f(-12, 8 * u + 2) for u in range(-20, 21)) == {-1}
+
+
+def test_check_f_divergent_lane_c3b_block2():
+    # C3b also reports Constant at nu2(s) % 4 == 2 while the fibres
+    # alternate: t = 8u + 6 gives W(6) = -1 and W(14) = +1.  Kept as
+    # printed and pinned, like the block-0 case above.
+    v = check_f(-12, 8, 6)
+    assert str(v) == "Constant(-1) [P3.2, C3b]"
+    assert falsify_constancy(-12, 8, 6, 200) == ((0, -1), (1, 1))
+
+
+@pytest.mark.parametrize("s,a,b", [(-1875, 40, 5), (-7500, 20, 15)])
+def test_check_f_nonconstant_p5_without_witness(s, a, b):
+    # P5 fails at p = 5, yet W = -1 on every fibre checked: -3 is a
+    # non-residue mod 5, so nu5(t^2 - s) stops at 4 once nu5(t) >= 2, and
+    # w_5 is +1 on these fibres.  NonConstant here does not mean both signs
+    # occur; the condition list is kept as printed and the gap pinned.
+    assert str(check_f(s, a, b)) == "NonConstant: P5:p=5"
+    assert {root_number_f(s, a * u + b) for u in range(-300, 301)} == {-1}
 
 
 def test_check_f_constant_c3a_pin():

@@ -14,11 +14,9 @@ import pytest
 
 from rootno.arith import legendre
 from rootno.local_signs import (
-    ERRATA_OVERLAY,
     TABLES,
     LocalProfile,
     dispatch_table,
-    profile,
     transcription,
     w_star,
     w_star_hit,
@@ -52,15 +50,15 @@ def test_dispatch_pins():
 
 def test_profile_rejects_singular():
     with pytest.raises(ValueError):
-        profile(5, 0, 1)
+        LocalProfile(5, 0, 1)
     with pytest.raises(ValueError):
-        profile(5, 9, 3)
+        LocalProfile(5, 9, 3)
     with pytest.raises(ValueError):
-        profile(4, 5, 1)  # p not prime
+        LocalProfile(4, 5, 1)  # p not prime
 
 
 def test_profile_of_zero_t():
-    q = profile(5, -3, 0)
+    q = LocalProfile(5, -3, 0)
     assert q.nu_t == math.inf
     assert q.t_u is None
     assert q.nu_s == 0 and q.nu_d == 0
@@ -159,10 +157,6 @@ def test_transcription_records():
             assert vdesc
 
 
-def test_errata_overlay_ships_empty():
-    assert ERRATA_OVERLAY == {}
-
-
 # ------------------------------------------------------------ row coverage
 
 def _sweep_fibres():
@@ -240,7 +234,7 @@ def test_every_row_reachable_and_total():
     for p, s, t in _sweep_fibres():
         if s == 0 or t * t == s:
             continue
-        q = profile(p, s, t)
+        q = LocalProfile(p, s, t)
         tid = dispatch_table(q)
         for i, row in enumerate(TABLES[tid]):
             if row.guard(q):
