@@ -25,9 +25,11 @@ import json
 import os
 from typing import Optional
 
-from .arith import factorize, is_prime, legendre, valuation
+from .arith import (_require_prime, factorize, legendre, sqrt_mod_prime_power,
+                    valuation)
 from .constancy import (check_f, check_f_table1, check_l_lemma,
-                        require_progression)
+                        require_nonzero_int, require_progression)
+from .families import is_singular
 from .local_signs import w_star_hit
 from .root_number import breakdown_f, breakdown_l, root_number_f, root_number_l
 
@@ -39,48 +41,6 @@ class FeatureDisabled(RuntimeError):
     """Raised when an optional data-backed feature has no data."""
 
 
-def _sqrt_mod_odd_prime(n: int, p: int) -> int:
-    """One square root of n mod p (p an odd prime, n a residue)."""
-    n %= p
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = e, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        bpow = pow(c, 1 << (m - i - 1), p)
-        m, c = i, bpow * bpow % p
-        t, r = t * c % p, r * bpow % p
-    return r
-
-
-def _lift_sqrt_odd(n: int, p: int, digits: int) -> int:
-    x = _sqrt_mod_odd_prime(n, p)
-    k = 1
-    while k < digits:
-        k = min(2 * k, digits)
-        mod = p**k
-        x = (x - (x * x - n) * pow(2 * x, -1, mod)) % mod
-    return x
-
-
-def _lift_sqrt_two(n: int, digits: int) -> int:
-    x = 1
-    for k in range(3, digits):
-        if (x * x - n) % (1 << (k + 1)):
-            x += 1 << (k - 1)
-    return x
-
-
 def probe_set(p: int, s: int, a: int, b: int) -> list:
     """u values whose fibres exercise every table guard at p.
 
@@ -89,10 +49,8 @@ def probe_set(p: int, s: int, a: int, b: int) -> list:
     nu_p(a) + nu_p(s) + 8 in each small unit class, and deep t^2 = s
     approximations where they exist.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError("p must be prime")
-    if not isinstance(s, int) or s == 0:
-        raise ValueError("s must be a nonzero integer")
+    _require_prime(p)
+    require_nonzero_int("s", s)
     a = require_progression(a, b)
 
     vs, s_unit = valuation(p, s)
@@ -126,11 +84,7 @@ def probe_set(p: int, s: int, a: int, b: int) -> list:
     if vs % 2 == 0:
         solvable = (s_unit % 8 == 1) if p == 2 else (legendre(s_unit, p) == 1)
         if solvable:
-            digits = span + 2
-            if p == 2:
-                root = _lift_sqrt_two(s_unit, digits)
-            else:
-                root = _lift_sqrt_odd(s_unit, p, digits)
+            root = sqrt_mod_prime_power(s_unit, p, span + 2)
             t0 = p ** (vs // 2) * root
             for depth in range(vs, vs + 9):
                 for target in (t0, -t0):
@@ -163,20 +117,20 @@ def falsify_constancy(s: int, a: int, b: int, budget: int = 1000) -> Optional[tu
 
     Scans u outward from 0 (skipping singular fibres), then walks the
     per-prime probe sets.  Returns ((u1, W1), (u2, W2)) for the first
-    opposing pair found, or None if the budget is exhausted.
+    opposing pair found, or None if the budget is exhausted.  A fibre
+    whose t^2 - s cannot be factored raises ValueError.
     """
-    if not isinstance(s, int) or s == 0:
-        raise ValueError("s must be a nonzero integer")
+    require_nonzero_int("s", s)
     require_progression(a, b)
 
     first = None
 
     def look(u):
         nonlocal first
-        try:
-            w = root_number_f(s, a * u + b)
-        except ValueError:
+        t = a * u + b
+        if is_singular(s, t):
             return None
+        w = root_number_f(s, t)
         if first is None:
             first = (u, w)
             return None
@@ -354,7 +308,11 @@ def _classical_data() -> dict:
         raise FeatureDisabled(
             "classical oracle disabled: %s has no local_signs.json" % root)
     with open(path) as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict) \
+            or any(type(v) is not int or v not in (1, -1) for v in data.values()):
+        raise ValueError('%s must map "p:s:t" keys to +1 or -1' % path)
+    return data
 
 
 def classical_local_root_number(p: int, s: int, t: int) -> int:
@@ -363,20 +321,21 @@ def classical_local_root_number(p: int, s: int, t: int) -> int:
     key = "%d:%d:%d" % (p, s, t)
     if key not in data:
         raise KeyError("no classical datum for %s" % key)
-    return int(data[key])
+    return data[key]
 
 
 def classical_cross_check(out: dict) -> None:
     """Add to a run_paper_examples result one classical-vs-table record per
-    nonsingular datum whose sign the tables contradict, and a checked line."""
+    nonsingular datum whose sign the tables contradict, and a checked line.
+    Malformed data (not a JSON object of +1/-1 values, a key other than
+    "p:s:t" with p prime) raises ValueError."""
     data = _classical_data()
     compared = 0
     for key in sorted(data):
         p, s, t = (int(x) for x in key.split(":"))
-        try:
-            hit = w_star_hit(p, s, t)
-        except ValueError:
+        if is_singular(s, t):
             continue
+        hit = w_star_hit(p, s, t)
         compared += 1
         if hit.sign != data[key]:
             out["records"].append({

@@ -8,7 +8,8 @@ divergence ledger), search (constant progressions in a box).
 
 Exit codes: 0 success, constant verdict, or empty audit ledger;
 1 non-constant verdict; 2 singular fibre; 3 audit ledger has records;
-64 usage or malformed arguments.
+64 usage or malformed arguments, an unfactorable fibre, or malformed
+oracle data: every ValueError reaches ``main``, which prints it.
 """
 
 import argparse
@@ -31,10 +32,6 @@ EXIT_RECORDS = 3
 EXIT_USAGE = 64
 
 _WITNESS_BUDGET = 200
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,19 +57,16 @@ def _print_factors(factors) -> None:
 def cmd_root_number(args) -> int:
     if args.family == "l":
         if args.w is None or args.v is None:
-            raise _UsageError("--family l needs --w and --v")
+            raise ValueError("--family l needs --w and --v")
         S, T = l_to_f(args.w, args.s, args.v, args.t)
     else:
         if args.w is not None or args.v is not None:
-            raise _UsageError("--w/--v only apply to --family l")
+            raise ValueError("--w/--v only apply to --family l")
         S, T = args.s, args.t
     if is_singular(S, T):
         print("singular fibre (s=%d, t=%d)" % (S, T), file=sys.stderr)
         return EXIT_SINGULAR
-    try:
-        bd = breakdown_f(S, T)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    bd = breakdown_f(S, T)
     if args.json:
         record = {"family": args.family, "s": args.s, "t": args.t}
         if args.family == "l":
@@ -81,7 +75,7 @@ def cmd_root_number(args) -> int:
             record["reduced_s"] = S
             record["reduced_t"] = T
         record["W"] = bd.w
-        record["factors"] = {str(p): bd.factors[p] for p in sorted(bd.factors)}
+        record["factors"] = bd.factors
         print(json.dumps(record))
         return EXIT_OK
     print("W = %s" % _sign_text(bd.w))
@@ -97,12 +91,9 @@ def cmd_root_number(args) -> int:
 
 def cmd_check(args) -> int:
     if args.s == 0:
-        raise _UsageError("s must be nonzero")
-    try:
-        verdict = check_f(args.s, args.a, args.b)
-        row = check_f_table1(args.s, args.a, args.b) if args.table1 else None
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError("s must be nonzero")
+    verdict = check_f(args.s, args.a, args.b)
+    row = check_f_table1(args.s, args.a, args.b) if args.table1 else None
     witnesses = None
     if not verdict.constant:
         pair = falsify_constancy(args.s, args.a, args.b, _WITNESS_BUDGET)
@@ -153,27 +144,24 @@ def _scan_record(job) -> dict:
 
 def cmd_scan(args) -> int:
     if args.s == 0:
-        raise _UsageError("s must be nonzero")
+        raise ValueError("s must be nonzero")
     if args.a == 0:
-        raise _UsageError("a must be nonzero")
+        raise ValueError("a must be nonzero")
     if args.u_min > args.u_max:
-        raise _UsageError("--u-min must not exceed --u-max")
+        raise ValueError("--u-min must not exceed --u-max")
     if args.jobs < 1:
-        raise _UsageError("jobs must be >= 1")
+        raise ValueError("jobs must be >= 1")
     work = [(args.s, args.a, args.b, u)
             for u in range(args.u_min, args.u_max + 1)]
-    try:
-        if args.jobs == 1 or len(work) < 2:
-            rows = [_scan_record(job) for job in work]
-        else:
-            # imported here: the process pool costs about 15 ms of start-up
-            from concurrent.futures import ProcessPoolExecutor
-            # ordered map keeps the output byte-identical for any job count
-            chunk = max(1, len(work) // (4 * args.jobs))
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_scan_record, work, chunksize=chunk))
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    if args.jobs == 1 or len(work) < 2:
+        rows = [_scan_record(job) for job in work]
+    else:
+        # imported here: the process pool costs about 15 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+        # ordered map keeps the output byte-identical for any job count
+        chunk = max(1, len(work) // (4 * args.jobs))
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_scan_record, work, chunksize=chunk))
     plus = sum(1 for r in rows if r["W"] == 1)
     minus = sum(1 for r in rows if r["W"] == -1)
     singular = sum(1 for r in rows if r["singular"])
@@ -182,13 +170,7 @@ def cmd_scan(args) -> int:
         doc = {
             "s": args.s, "a": args.a, "b": args.b,
             "u_min": args.u_min, "u_max": args.u_max,
-            "rows": [
-                {"u": r["u"], "t": r["t"], "singular": r["singular"],
-                 "W": r["W"],
-                 "factors": {str(p): r["factors"][p]
-                             for p in sorted(r["factors"])}}
-                for r in rows
-            ],
+            "rows": rows,
             "summary": {"plus": plus, "minus": minus, "singular": singular,
                         "average": str(average) if average is not None else None},
         }
@@ -226,17 +208,8 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rank_jump(args) -> int:
-    try:
-        report = rank_jump_report(args.s, args.a, args.b)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    doc = {}
-    for key, value in report.items():
-        if key == "per_prime":
-            doc[key] = {str(p): value[p] for p in value}
-        else:
-            doc[key] = value
-    print(json.dumps(doc, indent=2))
+    report = rank_jump_report(args.s, args.a, args.b)
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -254,13 +227,10 @@ def cmd_audit(args) -> int:
 
 def cmd_search(args) -> int:
     if args.a_max < 1 or args.b_max < 1:
-        raise _UsageError("--a-max and --b-max must be >= 1")
+        raise ValueError("--a-max and --b-max must be >= 1")
     for a in range(1, args.a_max + 1):
         for b in range(1, args.b_max + 1):
-            try:
-                verdict = check_f(args.s, a, b)
-            except ValueError as exc:
-                raise _UsageError(str(exc))
+            verdict = check_f(args.s, a, b)
             if verdict.constant:
                 print("a=%d b=%d %s" % (a, b, verdict))
     return EXIT_OK
@@ -329,7 +299,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         print("rootno: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

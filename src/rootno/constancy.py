@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import (
+    _require_prime,
     as_minus_3_square,
     factorize,
-    is_prime,
     legendre,
     valuation,
     valuation_or_inf,
@@ -75,14 +75,16 @@ def _nu(p: int, x: int) -> int:
     return valuation(p, x)[0]
 
 
+def require_nonzero_int(name: str, x: int) -> None:
+    """Rejects bools, non-ints and zero as the argument called name."""
+    if type(x) is not int or x == 0:
+        raise ValueError("%s must be a nonzero integer" % name)
+
+
 def require_progression(a: int, b: int) -> int:
     """|a| of the progression t = a*u + b; rejects bools, non-ints, zeros."""
-    if type(a) is not int or type(b) is not int:
-        raise ValueError("progression parameters a, b must be integers")
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    if b == 0:
-        raise ValueError("b must be nonzero")
+    require_nonzero_int("a", a)
+    require_nonzero_int("b", b)
     return abs(a)
 
 
@@ -177,8 +179,7 @@ def check_f_p(p: int, s: int, a: int, b: int) -> Verdict:
     per-prime condition lists are only defined there.
     """
     a = require_progression(a, b)
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    _require_prime(p)
     if as_minus_3_square(s) is None:
         raise ValueError("check_f_p requires s = -3*r^2 with r nonzero")
     if p >= 5:
@@ -312,11 +313,8 @@ def check_l_lemma(w: int, r: int, v: int, a: int, b: int) -> Sufficiency:
     satisfied check is the root number at u = 0.
     """
     for name, x in (("w", w), ("r", r), ("v", v)):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError("%s must be an integer" % name)
-        if x == 0:
-            raise ValueError("%s must be nonzero" % name)
-    if not isinstance(a, int) or not isinstance(b, int):
+        require_nonzero_int(name, x)
+    if type(a) is not int or type(b) is not int:
         raise ValueError("progression parameters a, b must be integers")
     matched = []
     for p, _ in factorize(r)[1]:

@@ -30,20 +30,20 @@ pinned in the tests and surfaced by the audit module, not patched here.
 from typing import Optional
 
 from .arith import (
+    _require_prime,
     as_minus_12_fourth,
     factorize,
     is_prime,
     legendre,
     valuation,
 )
-from .constancy import check_f, require_progression
+from .constancy import check_f, require_nonzero_int, require_progression
 
 BANNER = "conditional on the parity conjecture"
 
 
 def _require_quartic(s: int) -> int:
-    if not isinstance(s, int) or s == 0:
-        raise ValueError("s must be a nonzero integer")
+    require_nonzero_int("s", s)
     k = as_minus_12_fourth(s)
     if k is None:
         raise ValueError("s must be of the form -12*k**4")
@@ -52,8 +52,7 @@ def _require_quartic(s: int) -> int:
 
 def generic_rank(s: int) -> int:
     """Rank of the generic fibre over Q(t): 1 iff s = -12*k**4, else 0."""
-    if not isinstance(s, int) or s == 0:
-        raise ValueError("s must be a nonzero integer")
+    require_nonzero_int("s", s)
     return 1 if as_minus_12_fourth(s) is not None else 0
 
 
@@ -160,8 +159,7 @@ def forced_sign(p: int, s: int, a: int, b: int) -> Optional[int]:
     progression carries that local sign according to the condition
     lists; None means they are silent (the sign may still be constant).
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError("p must be prime")
+    _require_prime(p)
     _require_quartic(s)
     require_progression(a, b)
     if p == 2:
@@ -243,8 +241,7 @@ def rank_jump_report(s: int, a: int, b: int) -> dict:
     rank.  rank_jump_predicted is True/False when the root number is
     pinned on the whole progression and "unknown" otherwise.
     """
-    if not isinstance(s, int) or s == 0:
-        raise ValueError("s must be a nonzero integer")
+    require_nonzero_int("s", s)
     require_progression(a, b)
     generic = generic_rank(s)
     report = {"s": s, "a": a, "b": b, "generic_rank": generic}

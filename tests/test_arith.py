@@ -21,6 +21,7 @@ from rootno.arith import (
     jacobi,
     legendre,
     modified_jacobi,
+    sqrt_mod_prime_power,
     valuation,
     valuation_or_inf,
 )
@@ -55,6 +56,10 @@ def test_valuation_rejects_zero_and_bad_p():
         valuation(4, 12)
     with pytest.raises(ValueError):
         valuation(1, 12)
+    # 5.0 == 5 and True == 1 pass a value test; the type test refuses them
+    for p in (5.0, True):
+        with pytest.raises(ValueError):
+            valuation(p, 25)
 
 
 def test_valuation_or_inf():
@@ -180,6 +185,29 @@ def test_is_prime_pins():
     assert is_prime(2**89 - 1)
     assert is_prime(2**127 - 1)
     assert not is_prime(2**89 + 1)
+
+
+def test_is_prime_cache_is_bounded():
+    limit = is_prime.cache_info().maxsize
+    assert limit is not None
+    for n in range(10**9, 10**9 + limit + 100):
+        is_prime(n)
+    assert is_prime.cache_info().currsize <= limit
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_sqrt_mod_prime_power(p):
+    # every unit square mod p^k up to p^k = 1024; above that every unit
+    # of a window that is a square mod p (mod 8 for p = 2), which by
+    # Hensel's lemma is a square mod p^k
+    for k in range(1, 13):
+        mod = p**k
+        base = mod if mod <= 1024 else (8 if p == 2 else p)
+        squares = {x * x % base for x in range(base)}
+        for n in range(-min(mod, 1024), min(mod, 1024)):
+            if n % p and n % base in squares:
+                x = sqrt_mod_prime_power(n, p, k)
+                assert (x * x - n) % mod == 0, (n, p, k)
 
 
 def test_factorize_pins():

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from rootno import arith
 from rootno.audit import (
     FeatureDisabled,
     classical_local_root_number,
@@ -42,6 +43,14 @@ def test_falsify_skips_singular_fibres():
     # s = 4: t = 2u + 2 passes through the singular fibres t = 2 (u=0)
     # and t = -2 (u=-2); the scan steps over them
     assert falsify_constancy(4, 2, 2, 60) == ((1, -1), (3, 1))
+
+
+def test_falsify_raises_on_an_unfactorable_fibre(monkeypatch):
+    # with one tiny ECM level the u = 0 fibre's 85-bit t^2 - s cannot be
+    # split; skipping it would hide that the scan did not cover u = 0
+    monkeypatch.setattr(arith, "_ECM_LEVELS", ((10, 1),))
+    with pytest.raises(ValueError, match="85-bit"):
+        falsify_constancy(-3, 1, 896031015877463607, 5)
 
 
 def test_falsify_validation():

@@ -80,6 +80,7 @@ def test_root_number_usage_errors():
 @pytest.mark.parametrize("argv", [
     ("root-number", "--family", "f", "--t", "1"),
     ("scan", "--a", "1", "--b", "1", "--u-min", "0", "--u-max", "1"),
+    ("check", "--a", "1", "--b", "1"),
 ])
 def test_unfactorable_fibre_is_a_usage_error(monkeypatch, capsys, argv):
     # in-process, so the ECM schedule can be cut to one tiny level: s is
@@ -326,6 +327,24 @@ def test_audit_oracle_cross_check_when_data_present(tmp_path):
     assert clash[0]["classical"] == -1 and clash[0]["table"] == 1
     # the responsible table row must be named
     assert clash[0]["table_row"].startswith("T")
+
+
+@pytest.mark.parametrize("text", [
+    '{"2:-972:18": -1,\n',          # not JSON
+    '{"2:-3:x": 1}\n',              # key not p:s:t
+    '{"4:-3:1": 1}\n',              # p not prime
+    '[1, 2]\n',                     # not an object
+    '{"2:-972:18": "1"}\n',         # sign not +1 or -1
+])
+def test_audit_malformed_oracle_data_is_a_usage_error(tmp_path, text):
+    (tmp_path / "local_signs.json").write_text(text)
+    r = run_cli("audit", "--suite", "paper-examples",
+                "--with-classical-oracle",
+                env={"ROOTNO_CLASSICAL_DATA": str(tmp_path)})
+    assert r.returncode == 64
+    assert r.stderr.startswith("rootno: error: ")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_audit_usage():

@@ -25,7 +25,8 @@ from rootno.constancy import (
     check_l_lemma,
 )
 from rootno.local_signs import w_star
-from rootno.rank_jump import forced_sign, forced_sign_kq, rank_jump_report
+from rootno.rank_jump import (forced_sign, forced_sign_kq, generic_rank,
+                              rank_jump_report)
 from rootno.root_number import root_number_f, root_number_l
 
 
@@ -90,6 +91,23 @@ def test_progression_entry_points_reject_bool(name, a, b):
     call(8, 1)
     with pytest.raises(ValueError):
         call(a, b)
+
+
+_NONZERO_S_CALLS = {
+    "rank_jump_report": lambda s: rank_jump_report(s, 8, 1),
+    "generic_rank": generic_rank,
+    "probe_set": lambda s: probe_set(2, s, 8, 1),
+    "falsify_constancy": lambda s: falsify_constancy(s, 8, 1, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONZERO_S_CALLS))
+@pytest.mark.parametrize("s", [True, 0])
+def test_nonzero_s_entry_points_reject_bool_and_zero(name, s):
+    call = _NONZERO_S_CALLS[name]
+    call(-12)
+    with pytest.raises(ValueError, match="s must be a nonzero integer"):
+        call(s)
 
 
 def test_check_f_negative_a_same_progression():
@@ -424,6 +442,13 @@ def test_lemma_validation():
         check_l_lemma(7, 14, 0, 12, 6)
     with pytest.raises(ValueError):
         check_l_lemma(Fraction(7, 2), 14, 1, 12, 6)
+    for args in ((True, 14, 1, 12, 6), (7, 14, 1, True, 6),
+                 (7, 14, 1, 12, True)):
+        with pytest.raises(ValueError):
+            check_l_lemma(*args)
+    # a = 0 and b = 0 are accepted: valuation_or_inf reads them as infinite
+    assert isinstance(check_l_lemma(7, 14, 1, 0, 6), Sufficiency)
+    assert isinstance(check_l_lemma(7, 14, 1, 12, 0), Sufficiency)
 
 
 def test_lemma_satisfied_implies_constant_enumeration():
