@@ -165,8 +165,9 @@ def _require_prime(p: int) -> None:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p: 0 if p | a, else +-1."""
-    if p == 2 or p < 3 or not is_prime(p):
-        raise ValueError(f"legendre needs an odd prime modulus, got {p!r}")
+    _require_prime(p)
+    if p == 2:
+        raise ValueError("legendre needs an odd prime modulus, got 2")
     a %= p
     if a == 0:
         return 0
@@ -368,11 +369,19 @@ _RHO_LIMIT = 1 << 13
 # cofactor that survives the last one raises ValueError.
 _ECM_LEVELS = ((150, 6), (500, 15), (2000, 30), (11000, 90), (50000, 200))
 
+# Largest composite cofactor, in bits, that factoring tries to split. A
+# larger one is refused at once: with no factor in reach of the last ECM
+# level it would run the whole schedule, minutes, before failing anyway.
+_SPLIT_BITS = 256
+
 
 def _find_factor(n: int, rng: random.Random) -> int:
     """A proper divisor of the composite n, which has no prime factor below
     the trial bound: capped rho first, then each ECM level once. Raises
-    ValueError when every level fails."""
+    ValueError when n has more than _SPLIT_BITS bits or every level fails."""
+    if n.bit_length() > _SPLIT_BITS:
+        raise ValueError("refusing to split a %d-bit composite cofactor: the "
+                         "limit is %d bits" % (n.bit_length(), _SPLIT_BITS))
     d = _brent_rho(n, rng, _RHO_LIMIT)
     if 1 < d < n:
         return d

@@ -18,6 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .arith import as_minus_3_square
 from .audit import (FeatureDisabled, classical_cross_check, falsify_constancy,
                     ledger_json, run_paper_examples)
 from .constancy import check_f, check_f_table1
@@ -93,7 +94,9 @@ def cmd_check(args) -> int:
     if args.s == 0:
         raise ValueError("s must be nonzero")
     verdict = check_f(args.s, args.a, args.b)
-    row = check_f_table1(args.s, args.a, args.b) if args.table1 else None
+    row = None
+    if args.table1 and as_minus_3_square(args.s) is not None:
+        row = check_f_table1(args.s, args.a, args.b)
     witnesses = None
     if not verdict.constant:
         pair = falsify_constancy(args.s, args.a, args.b, _WITNESS_BUDGET)

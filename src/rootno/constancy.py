@@ -141,6 +141,16 @@ def _condition_c3(s: int, a: int, b: int) -> Optional[str]:
     return None
 
 
+def _condition(p: int, s: int, a: int, b: int) -> tuple[Optional[str], str]:
+    """The condition id that holds at p (None if none does), and the reason
+    a verdict gives when none does."""
+    if p >= 5:
+        return _condition_p5(p, s, a, b), "P5:p=%d" % p
+    if p == 3:
+        return _condition_p3(s, a, b), "P3"
+    return _condition_c3(s, a, b), "C3"
+
+
 def check_f(s: int, a: int, b: int) -> Verdict:
     """Decide whether W on the fibres t = a*u + b is constant in u.
 
@@ -153,21 +163,11 @@ def check_f(s: int, a: int, b: int) -> Verdict:
     if as_minus_3_square(s) is None:
         return Verdict(False, None, (), NOT_MINUS_3_SQUARE)
     matched = []
-    for p, _ in factorize(s)[1]:
-        if p < 5:
-            continue
-        hit = _condition_p5(p, s, a, b)
+    for p in [p for p, _ in factorize(s)[1] if p >= 5] + [3, 2]:
+        hit, reason = _condition(p, s, a, b)
         if hit is None:
-            return Verdict(False, None, tuple(matched), "P5:p=%d" % p)
+            return Verdict(False, None, tuple(matched), reason)
         matched.append(hit)
-    hit = _condition_p3(s, a, b)
-    if hit is None:
-        return Verdict(False, None, tuple(matched), "P3")
-    matched.append(hit)
-    hit = _condition_c3(s, a, b)
-    if hit is None:
-        return Verdict(False, None, tuple(matched), "C3")
-    matched.append(hit)
     return Verdict(True, root_number_f(s, b), tuple(matched), None)
 
 
@@ -182,20 +182,12 @@ def check_f_p(p: int, s: int, a: int, b: int) -> Verdict:
     _require_prime(p)
     if as_minus_3_square(s) is None:
         raise ValueError("check_f_p requires s = -3*r^2 with r nonzero")
-    if p >= 5:
-        if _nu(p, s) == 0:
-            # local sign is identically +1 off the primes of 6s
-            return Verdict(True, w_star(p, s, b), ())
-        hit = _condition_p5(p, s, a, b)
-        fail_reason = "P5:p=%d" % p
-    elif p == 3:
-        hit = _condition_p3(s, a, b)
-        fail_reason = "P3"
-    else:
-        hit = _condition_c3(s, a, b)
-        fail_reason = "C3"
+    if p >= 5 and _nu(p, s) == 0:
+        # local sign is identically +1 off the primes of 6s
+        return Verdict(True, w_star(p, s, b), ())
+    hit, reason = _condition(p, s, a, b)
     if hit is None:
-        return Verdict(False, None, (), fail_reason)
+        return Verdict(False, None, (), reason)
     return Verdict(True, w_star(p, s, b), (hit,))
 
 

@@ -18,12 +18,15 @@ and the valuation pattern of s and t:
   T11  p = 2, nu2(s) == 2 mod 4, 2 nu2(t) != nu2(s)
   T12  p = 2, nu2(s) == 2 mod 4, 2 nu2(t) == nu2(s)
 
-Tables are literal row lists: (guard, value) over a LocalProfile, first match
-wins, and a fall-through raises (every table is total over its dispatch
-domain; the totality fuzz test exercises this). Row keys name the first
-column of the table ("diff" is nu(s) - 2 nu(t) in T4..T12, the table's own
-m = nu(t^2-s) - 2 nu(t) in the equal-valuation tables T5/T7/T9/T12, and
-k = 2 nu(t) - nu(s) in T3).
+Tables are literal row lists: (cell, sub, printed value, guard) over a
+LocalProfile, first match wins, and a fall-through raises (every table is
+total over its dispatch domain; the totality fuzz test exercises this).
+Row keys name the first column of the table ("diff" is nu(s) - 2 nu(t) in
+T4..T12, the table's own m = nu(t^2-s) - 2 nu(t) in the equal-valuation
+tables T5/T7/T9/T12, and k = 2 nu(t) - nu(s) in T3). A row states its value
+only as the printed string; the one evaluator of each printed value is
+looked up when the row is built, and a printed value with no evaluator is
+refused at import.
 
 Known divergences between these tables and other published claims are
 deliberately NOT patched here: the rows are kept exactly as transcribed, so
@@ -34,7 +37,7 @@ fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from rootno.arith import legendre, valuation, valuation_or_inf
@@ -56,14 +59,12 @@ class LocalProfile:
     columns first).
     """
 
-    __slots__ = ("p", "s", "t", "nu_s", "s_u", "nu_t", "t_u", "nu_d", "d_u")
+    __slots__ = ("p", "nu_s", "s_u", "nu_t", "t_u", "nu_d", "d_u")
 
     def __init__(self, p: int, s: int, t: int):
-        if s == 0 or is_singular(s, t):
+        if is_singular(s, t):
             raise ValueError(f"fibre (s={s}, t={t}) is singular")
         self.p = p
-        self.s = s
-        self.t = t
         self.nu_s, self.s_u = valuation(p, s)
         self.nu_t, self.t_u = valuation_or_inf(p, t)
         if self.t_u == 0:
@@ -95,13 +96,37 @@ def _sgn4(x: int) -> Sign:
     return 1 if x % 4 == 1 else -1
 
 
+# the evaluator of each printed value the tables use
+_VALUES: dict[str, Callable[[LocalProfile], Sign]] = {
+    "+1": lambda q: 1,
+    "-1": lambda q: -1,
+    "(-1/p)": lambda q: q.leg(-1),
+    "(2/p)": lambda q: q.leg(2),
+    "(3/p)": lambda q: q.leg(3),
+    "(-3/p)": lambda q: q.leg(-3),
+    "-(3t_p/p)": lambda q: -q.leg(3 * q.t_u),
+    "(s_3/3)": lambda q: q.leg(q.s_u),
+    "-(s_3/3)": lambda q: -q.leg(q.s_u),
+    "(t_3/3)": lambda q: q.leg(q.t_u),
+    "-(t_3/3)": lambda q: -q.leg(q.t_u),
+    "t_2 mod 4": lambda q: _sgn4(q.t_u),
+    "d_2 mod 4": lambda q: _sgn4(q.d_u),
+    "-(d_2 mod 4)": lambda q: -_sgn4(q.d_u),
+}
+
+
 @dataclass(frozen=True)
 class Row:
     cell: str                                  # printed first-column key
     sub: str                                   # distinguishing unit condition
+    vdesc: str                                 # printed value
     guard: Callable[[LocalProfile], bool]
-    value: Callable[[LocalProfile], Sign]
-    vdesc: str                                 # printed value, for records
+    value: Callable[[LocalProfile], Sign] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.vdesc not in _VALUES:
+            raise ValueError(f"no evaluator for printed value {self.vdesc!r}")
+        object.__setattr__(self, "value", _VALUES[self.vdesc])
 
     @property
     def row_id(self) -> str:
@@ -112,108 +137,79 @@ class Row:
 
 T3 = [
     # nu(s) odd
-    Row("s odd & k<0", "nu(t) even",
-        lambda q: q.nu_s % 2 == 1 and q.k < 0 and q.nu_t % 2 == 0,
-        lambda q: -q.leg(3 * q.t_u), "-(3t_p/p)"),
-    Row("s odd & k<0", "nu(t) odd",
-        lambda q: q.nu_s % 2 == 1 and q.k < 0,
-        lambda q: q.leg(-1), "(-1/p)"),
-    Row("s odd & k>0", "",
-        lambda q: q.nu_s % 2 == 1 and q.k > 0,
-        lambda q: q.leg(2), "(2/p)"),
+    Row("s odd & k<0", "nu(t) even", "-(3t_p/p)",
+        lambda q: q.nu_s % 2 == 1 and q.k < 0 and q.nu_t % 2 == 0),
+    Row("s odd & k<0", "nu(t) odd", "(-1/p)",
+        lambda q: q.nu_s % 2 == 1 and q.k < 0),
+    Row("s odd & k>0", "", "(2/p)",
+        lambda q: q.nu_s % 2 == 1 and q.k > 0),
     # nu(s) == 0 mod 4
-    Row("s 0mod4 & k<0", "nu(t) even",
-        lambda q: q.nu_s % 4 == 0 and q.k < 0 and q.nu_t % 2 == 0,
-        lambda q: -q.leg(3 * q.t_u), "-(3t_p/p)"),
-    Row("s 0mod4 & k<0", "nu(t) odd",
-        lambda q: q.nu_s % 4 == 0 and q.k < 0,
-        lambda q: q.leg(-1), "(-1/p)"),
-    Row("s 0mod4 & k>0", "",
-        lambda q: q.nu_s % 4 == 0 and q.k > 0,
-        lambda q: 1, "+1"),
-    Row("s 0mod4 & k=0", "nu(t)=0 mod 6, nu(d)=2,4 mod 6",
+    Row("s 0mod4 & k<0", "nu(t) even", "-(3t_p/p)",
+        lambda q: q.nu_s % 4 == 0 and q.k < 0 and q.nu_t % 2 == 0),
+    Row("s 0mod4 & k<0", "nu(t) odd", "(-1/p)",
+        lambda q: q.nu_s % 4 == 0 and q.k < 0),
+    Row("s 0mod4 & k>0", "", "+1",
+        lambda q: q.nu_s % 4 == 0 and q.k > 0),
+    Row("s 0mod4 & k=0", "nu(t)=0 mod 6, nu(d)=2,4 mod 6", "(-3/p)",
         lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 0
-        and q.nu_d % 6 in (2, 4),
-        lambda q: q.leg(-3), "(-3/p)"),
-    Row("s 0mod4 & k=0", "nu(t)=0 mod 6, otherwise",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 0,
-        lambda q: 1, "+1"),
-    Row("s 0mod4 & k=0", "nu(t)=2 mod 6, nu(d)=0,2 mod 6",
+        and q.nu_d % 6 in (2, 4)),
+    Row("s 0mod4 & k=0", "nu(t)=0 mod 6, otherwise", "+1",
+        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 0),
+    Row("s 0mod4 & k=0", "nu(t)=2 mod 6, nu(d)=0,2 mod 6", "(-3/p)",
         lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 2
-        and q.nu_d % 6 in (0, 2),
-        lambda q: q.leg(-3), "(-3/p)"),
-    Row("s 0mod4 & k=0", "nu(t)=2 mod 6, otherwise",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 2,
-        lambda q: 1, "+1"),
-    Row("s 0mod4 & k=0", "nu(t)=4 mod 6, nu(d)=0,4 mod 6",
+        and q.nu_d % 6 in (0, 2)),
+    Row("s 0mod4 & k=0", "nu(t)=2 mod 6, otherwise", "+1",
+        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 2),
+    Row("s 0mod4 & k=0", "nu(t)=4 mod 6, nu(d)=0,4 mod 6", "(-3/p)",
         lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 4
-        and q.nu_d % 6 in (0, 4),
-        lambda q: q.leg(-3), "(-3/p)"),
-    Row("s 0mod4 & k=0", "nu(t)=4 mod 6, otherwise",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 4,
-        lambda q: 1, "+1"),
+        and q.nu_d % 6 in (0, 4)),
+    Row("s 0mod4 & k=0", "nu(t)=4 mod 6, otherwise", "+1",
+        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 4),
     # nu(s) == 2 mod 4
-    Row("s 2mod4 & k<0", "nu(t) even",
-        lambda q: q.nu_s % 4 == 2 and q.k < 0 and q.nu_t % 2 == 0,
-        lambda q: -q.leg(3 * q.t_u), "-(3t_p/p)"),
-    Row("s 2mod4 & k<0", "nu(t) odd",
-        lambda q: q.nu_s % 4 == 2 and q.k < 0,
-        lambda q: q.leg(-1), "(-1/p)"),
-    Row("s 2mod4 & k>0", "",
-        lambda q: q.nu_s % 4 == 2 and q.k > 0,
-        lambda q: q.leg(-1), "(-1/p)"),
-    Row("s 2mod4 & k=0", "nu(t)=1 mod 6, nu(d)=1,3 mod 6",
+    Row("s 2mod4 & k<0", "nu(t) even", "-(3t_p/p)",
+        lambda q: q.nu_s % 4 == 2 and q.k < 0 and q.nu_t % 2 == 0),
+    Row("s 2mod4 & k<0", "nu(t) odd", "(-1/p)",
+        lambda q: q.nu_s % 4 == 2 and q.k < 0),
+    Row("s 2mod4 & k>0", "", "(-1/p)",
+        lambda q: q.nu_s % 4 == 2 and q.k > 0),
+    Row("s 2mod4 & k=0", "nu(t)=1 mod 6, nu(d)=1,3 mod 6", "(3/p)",
         lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 1
-        and q.nu_d % 6 in (1, 3),
-        lambda q: q.leg(3), "(3/p)"),
-    Row("s 2mod4 & k=0", "nu(t)=1 mod 6, otherwise",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 1,
-        lambda q: q.leg(-1), "(-1/p)"),
-    Row("s 2mod4 & k=0", "nu(t)=3 mod 6, nu(d)=1,5 mod 6",
+        and q.nu_d % 6 in (1, 3)),
+    Row("s 2mod4 & k=0", "nu(t)=1 mod 6, otherwise", "(-1/p)",
+        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 1),
+    Row("s 2mod4 & k=0", "nu(t)=3 mod 6, nu(d)=1,5 mod 6", "(3/p)",
         lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 3
-        and q.nu_d % 6 in (1, 5),
-        lambda q: q.leg(3), "(3/p)"),
-    Row("s 2mod4 & k=0", "nu(t)=3 mod 6, otherwise",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 3,
-        lambda q: q.leg(-1), "(-1/p)"),
-    Row("s 2mod4 & k=0", "nu(t)=5 mod 6, nu(d)=3,5 mod 6",
+        and q.nu_d % 6 in (1, 5)),
+    Row("s 2mod4 & k=0", "nu(t)=3 mod 6, otherwise", "(-1/p)",
+        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 3),
+    Row("s 2mod4 & k=0", "nu(t)=5 mod 6, nu(d)=3,5 mod 6", "(3/p)",
         lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 5
-        and q.nu_d % 6 in (3, 5),
-        lambda q: q.leg(3), "(3/p)"),
-    Row("s 2mod4 & k=0", "nu(t)=5 mod 6, otherwise",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 5,
-        lambda q: q.leg(-1), "(-1/p)"),
+        and q.nu_d % 6 in (3, 5)),
+    Row("s 2mod4 & k=0", "nu(t)=5 mod 6, otherwise", "(-1/p)",
+        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 5),
 ]
 
 # --------------------------------------------------------------------- T4
 
 T4 = [
     # nu3(s) == 1 mod 4
-    Row("s 1mod4 & diff<-1", "",
-        lambda q: q.nu_s % 4 == 1 and q.diff < -1,
-        lambda q: 1, "+1"),
-    Row("s 1mod4 & diff=-1", "",
-        lambda q: q.nu_s % 4 == 1 and q.diff == -1,
-        lambda q: -q.leg(q.s_u), "-(s_3/3)"),
-    Row("s 1mod4 & diff=1,3", "",
-        lambda q: q.nu_s % 4 == 1 and q.diff in (1, 3),
-        lambda q: 1, "+1"),
-    Row("s 1mod4 & diff=1mod4>1", "",
-        lambda q: q.nu_s % 4 == 1 and q.diff > 1 and q.diff % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("s 1mod4 & diff=3mod4>3", "",
-        lambda q: q.nu_s % 4 == 1 and q.diff > 3 and q.diff % 4 == 3,
-        lambda q: -q.leg(q.t_u), "-(t_3/3)"),
+    Row("s 1mod4 & diff<-1", "", "+1",
+        lambda q: q.nu_s % 4 == 1 and q.diff < -1),
+    Row("s 1mod4 & diff=-1", "", "-(s_3/3)",
+        lambda q: q.nu_s % 4 == 1 and q.diff == -1),
+    Row("s 1mod4 & diff=1,3", "", "+1",
+        lambda q: q.nu_s % 4 == 1 and q.diff in (1, 3)),
+    Row("s 1mod4 & diff=1mod4>1", "", "-1",
+        lambda q: q.nu_s % 4 == 1 and q.diff > 1 and q.diff % 4 == 1),
+    Row("s 1mod4 & diff=3mod4>3", "", "-(t_3/3)",
+        lambda q: q.nu_s % 4 == 1 and q.diff > 3 and q.diff % 4 == 3),
     # nu3(s) == 3 mod 4
-    Row("s 3mod4 & diff=1", "",
-        lambda q: q.nu_s % 4 == 3 and q.diff == 1,
-        lambda q: q.leg(q.s_u), "(s_3/3)"),
-    Row("s 3mod4 & diff=1mod4>1", "",
-        lambda q: q.nu_s % 4 == 3 and q.diff > 1 and q.diff % 4 == 1,
-        lambda q: -q.leg(q.t_u), "-(t_3/3)"),
-    Row("s 3mod4 & otherwise", "",
-        lambda q: q.nu_s % 4 == 3,
-        lambda q: -1, "-1"),
+    Row("s 3mod4 & diff=1", "", "(s_3/3)",
+        lambda q: q.nu_s % 4 == 3 and q.diff == 1),
+    Row("s 3mod4 & diff=1mod4>1", "", "-(t_3/3)",
+        lambda q: q.nu_s % 4 == 3 and q.diff > 1 and q.diff % 4 == 1),
+    Row("s 3mod4 & otherwise", "", "-1",
+        lambda q: q.nu_s % 4 == 3),
 ]
 
 # --------------------------------------------------------------------- T5
@@ -227,397 +223,288 @@ def _u9(q: LocalProfile) -> int:
 
 
 T5 = [
-    Row("diff=0", "s_3=2 mod 3, s_3 t_3 != 2,4 mod 9",
+    Row("diff=0", "s_3=2 mod 3, s_3 t_3 != 2,4 mod 9", "+1",
         lambda q: q.m == 0 and q.s_u % 3 == 2
-        and q.s_u * q.t_u % 9 not in (2, 4),
-        lambda q: 1, "+1"),
-    Row("diff=0mod6>0", "t_3 d_3 != 7,8 mod 9",
-        lambda q: q.m > 0 and q.m % 6 == 0 and _u9(q) not in (7, 8),
-        lambda q: 1, "+1"),
-    Row("diff=1mod6", "t_3 d_3 = 2 mod 3",
-        lambda q: q.m % 6 == 1 and _u3(q) == 2,
-        lambda q: 1, "+1"),
-    Row("diff=2mod6", "t_3 d_3 = 1 mod 3",
-        lambda q: q.m % 6 == 2 and _u3(q) == 1,
-        lambda q: 1, "+1"),
-    Row("diff=3mod6", "t_3 d_3 = 1,2 mod 9",
-        lambda q: q.m % 6 == 3 and _u9(q) in (1, 2),
-        lambda q: 1, "+1"),
-    Row("diff=4mod6", "t_3 d_3 = 2 mod 3",
-        lambda q: q.m % 6 == 4 and _u3(q) == 2,
-        lambda q: 1, "+1"),
-    Row("diff=5mod6", "t_3 d_3 = 1 mod 3",
-        lambda q: q.m % 6 == 5 and _u3(q) == 1,
-        lambda q: 1, "+1"),
-    Row("otherwise", "",
-        lambda q: True,
-        lambda q: -1, "-1"),
+        and q.s_u * q.t_u % 9 not in (2, 4)),
+    Row("diff=0mod6>0", "t_3 d_3 != 7,8 mod 9", "+1",
+        lambda q: q.m > 0 and q.m % 6 == 0 and _u9(q) not in (7, 8)),
+    Row("diff=1mod6", "t_3 d_3 = 2 mod 3", "+1",
+        lambda q: q.m % 6 == 1 and _u3(q) == 2),
+    Row("diff=2mod6", "t_3 d_3 = 1 mod 3", "+1",
+        lambda q: q.m % 6 == 2 and _u3(q) == 1),
+    Row("diff=3mod6", "t_3 d_3 = 1,2 mod 9", "+1",
+        lambda q: q.m % 6 == 3 and _u9(q) in (1, 2)),
+    Row("diff=4mod6", "t_3 d_3 = 2 mod 3", "+1",
+        lambda q: q.m % 6 == 4 and _u3(q) == 2),
+    Row("diff=5mod6", "t_3 d_3 = 1 mod 3", "+1",
+        lambda q: q.m % 6 == 5 and _u3(q) == 1),
+    Row("otherwise", "", "-1",
+        lambda q: True),
 ]
 
 # -------------------------------------------------------------------- T6a
 
 T6a = [
-    Row("diff<-2", "",
-        lambda q: q.diff < -2,
-        lambda q: 1, "+1"),
-    Row("diff=-2", "",
-        lambda q: q.diff == -2,
-        lambda q: q.leg(q.t_u), "(t_3/3)"),
-    Row("diff>0", "nu(t) even",
-        lambda q: q.diff > 0 and q.nu_t % 2 == 0,
-        lambda q: -1, "-1"),
-    Row("diff>0", "nu(t) odd",
-        lambda q: q.diff > 0 and q.nu_t % 2 == 1,
-        lambda q: -q.leg(q.t_u), "-(t_3/3)"),
+    Row("diff<-2", "", "+1",
+        lambda q: q.diff < -2),
+    Row("diff=-2", "", "(t_3/3)",
+        lambda q: q.diff == -2),
+    Row("diff>0", "nu(t) even", "-1",
+        lambda q: q.diff > 0 and q.nu_t % 2 == 0),
+    Row("diff>0", "nu(t) odd", "-(t_3/3)",
+        lambda q: q.diff > 0 and q.nu_t % 2 == 1),
 ]
 
 # -------------------------------------------------------------------- T6b
 
 T6b = [
-    Row("diff<-2", "",
-        lambda q: q.diff < -2,
-        lambda q: 1, "+1"),
-    Row("diff=-2", "t_3 = s_3 mod 3",
-        lambda q: q.diff == -2 and q.t_u % 3 == q.s_u % 3,
-        lambda q: 1, "+1"),
-    Row("diff=-2", "t_3 = -s_3 mod 3",
-        lambda q: q.diff == -2 and q.t_u % 3 == -q.s_u % 3,
-        lambda q: -1, "-1"),
-    Row("diff=2", "t_3 = s_3 mod 3",
-        lambda q: q.diff == 2 and q.t_u % 3 == q.s_u % 3,
-        lambda q: 1, "+1"),
-    Row("diff=2", "t_3 = -s_3 mod 3",
-        lambda q: q.diff == 2 and q.t_u % 3 == -q.s_u % 3,
-        lambda q: -1, "-1"),
-    Row("diff=0mod4>0", "",
-        lambda q: q.diff > 0 and q.diff % 4 == 0,
-        lambda q: -q.leg(q.t_u), "-(t_3/3)"),
-    Row("diff=2mod4>2", "",
-        lambda q: q.diff > 2 and q.diff % 4 == 2,
-        lambda q: -1, "-1"),
+    Row("diff<-2", "", "+1",
+        lambda q: q.diff < -2),
+    Row("diff=-2", "t_3 = s_3 mod 3", "+1",
+        lambda q: q.diff == -2 and q.t_u % 3 == q.s_u % 3),
+    Row("diff=-2", "t_3 = -s_3 mod 3", "-1",
+        lambda q: q.diff == -2 and q.t_u % 3 == -q.s_u % 3),
+    Row("diff=2", "t_3 = s_3 mod 3", "+1",
+        lambda q: q.diff == 2 and q.t_u % 3 == q.s_u % 3),
+    Row("diff=2", "t_3 = -s_3 mod 3", "-1",
+        lambda q: q.diff == 2 and q.t_u % 3 == -q.s_u % 3),
+    Row("diff=0mod4>0", "", "-(t_3/3)",
+        lambda q: q.diff > 0 and q.diff % 4 == 0),
+    Row("diff=2mod4>2", "", "-1",
+        lambda q: q.diff > 2 and q.diff % 4 == 2),
 ]
 
 # --------------------------------------------------------------------- T7
 
 T7 = [
-    Row("diff=0", "s_3=2 mod 3, s_3 t_3 != 2,4 mod 9",
+    Row("diff=0", "s_3=2 mod 3, s_3 t_3 != 2,4 mod 9", "+1",
         lambda q: q.m == 0 and q.s_u % 3 == 2
-        and q.s_u * q.t_u % 9 not in (2, 4),
-        lambda q: 1, "+1"),
-    Row("diff=0mod6>0", "t_3 d_3 != 1,2 mod 9",
-        lambda q: q.m > 0 and q.m % 6 == 0 and _u9(q) not in (1, 2),
-        lambda q: 1, "+1"),
-    Row("diff=1mod6", "t_3 d_3 = 1 mod 3",
-        lambda q: q.m % 6 == 1 and _u3(q) == 1,
-        lambda q: 1, "+1"),
-    Row("diff=2mod6", "t_3 d_3 = 2 mod 3",
-        lambda q: q.m % 6 == 2 and _u3(q) == 2,
-        lambda q: 1, "+1"),
-    Row("diff=3mod6", "t_3 d_3 = 7,8 mod 9",
-        lambda q: q.m % 6 == 3 and _u9(q) in (7, 8),
-        lambda q: 1, "+1"),
-    Row("diff=4mod6", "t_3 d_3 = 1 mod 3",
-        lambda q: q.m % 6 == 4 and _u3(q) == 1,
-        lambda q: 1, "+1"),
-    Row("diff=5mod6", "t_3 d_3 = 2 mod 3",
-        lambda q: q.m % 6 == 5 and _u3(q) == 2,
-        lambda q: 1, "+1"),
-    Row("otherwise", "",
-        lambda q: True,
-        lambda q: -1, "-1"),
+        and q.s_u * q.t_u % 9 not in (2, 4)),
+    Row("diff=0mod6>0", "t_3 d_3 != 1,2 mod 9", "+1",
+        lambda q: q.m > 0 and q.m % 6 == 0 and _u9(q) not in (1, 2)),
+    Row("diff=1mod6", "t_3 d_3 = 1 mod 3", "+1",
+        lambda q: q.m % 6 == 1 and _u3(q) == 1),
+    Row("diff=2mod6", "t_3 d_3 = 2 mod 3", "+1",
+        lambda q: q.m % 6 == 2 and _u3(q) == 2),
+    Row("diff=3mod6", "t_3 d_3 = 7,8 mod 9", "+1",
+        lambda q: q.m % 6 == 3 and _u9(q) in (7, 8)),
+    Row("diff=4mod6", "t_3 d_3 = 1 mod 3", "+1",
+        lambda q: q.m % 6 == 4 and _u3(q) == 1),
+    Row("diff=5mod6", "t_3 d_3 = 2 mod 3", "+1",
+        lambda q: q.m % 6 == 5 and _u3(q) == 2),
+    Row("otherwise", "", "-1",
+        lambda q: True),
 ]
 
 # --------------------------------------------------------------------- T8
 
 T8 = [
-    Row("diff<-4", "s_2 = 1,3,7,13,15 mod 16",
-        lambda q: q.diff < -4 and q.s_u % 16 in (1, 3, 7, 13, 15),
-        lambda q: -1, "-1"),
-    Row("diff<-4", "s_2 = 5,9,11 mod 16",
-        lambda q: q.diff < -4 and q.s_u % 16 in (5, 9, 11),
-        lambda q: 1, "+1"),
-    Row("diff=-4", "s_2 = 3,5,7,9,11,15 mod 16",
-        lambda q: q.diff == -4 and q.s_u % 16 in (3, 5, 7, 9, 11, 15),
-        lambda q: -1, "-1"),
-    Row("diff=-4", "s_2 = 1,13 mod 16",
-        lambda q: q.diff == -4 and q.s_u % 16 in (1, 13),
-        lambda q: 1, "+1"),
-    Row("diff=-2", "s_2 = 3 mod 4",
-        lambda q: q.diff == -2 and q.s_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=-2", "s_2 = 1,13 mod 16, t_2 = 1 mod 4",
-        lambda q: q.diff == -2 and q.s_u % 16 in (1, 13) and q.t_u % 4 == 1,
-        lambda q: 1, "+1"),
-    Row("diff=-2", "s_2 = 5,9 mod 16, t_2 = 3 mod 4",
-        lambda q: q.diff == -2 and q.s_u % 16 in (5, 9) and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=-2", "otherwise",
-        lambda q: q.diff == -2,
-        lambda q: -1, "-1"),
-    Row("diff=2", "t_2 = s_2 mod 4",
-        lambda q: q.diff == 2 and q.t_u % 4 == q.s_u % 4,
-        lambda q: 1, "+1"),
-    Row("diff=2", "t_2 = -s_2 mod 4",
-        lambda q: q.diff == 2 and q.t_u % 4 == -q.s_u % 4,
-        lambda q: -1, "-1"),
-    Row("diff=2mod4>2", "t_2 = 3 mod 4",
-        lambda q: q.diff > 2 and q.diff % 4 == 2 and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=2mod4>2", "t_2 = 1 mod 4",
-        lambda q: q.diff > 2 and q.diff % 4 == 2 and q.t_u % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("diff=4", "t_2 = 1,5 mod 8",
-        lambda q: q.diff == 4 and q.t_u % 8 in (1, 5),
-        lambda q: 1, "+1"),
-    Row("diff=4", "s_2 = 1 mod 4, t_2 = 3 mod 8",
-        lambda q: q.diff == 4 and q.s_u % 4 == 1 and q.t_u % 8 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=4", "s_2 = 3 mod 4, t_2 = 7 mod 8",
-        lambda q: q.diff == 4 and q.s_u % 4 == 3 and q.t_u % 8 == 7,
-        lambda q: 1, "+1"),
-    Row("diff=4", "otherwise",
-        lambda q: q.diff == 4,
-        lambda q: -1, "-1"),
-    Row("diff=0mod4>4", "t_2 = 7 mod 8",
-        lambda q: q.diff > 4 and q.diff % 4 == 0 and q.t_u % 8 == 7,
-        lambda q: 1, "+1"),
-    Row("diff=0mod4>4", "otherwise",
-        lambda q: q.diff > 4 and q.diff % 4 == 0,
-        lambda q: -1, "-1"),
+    Row("diff<-4", "s_2 = 1,3,7,13,15 mod 16", "-1",
+        lambda q: q.diff < -4 and q.s_u % 16 in (1, 3, 7, 13, 15)),
+    Row("diff<-4", "s_2 = 5,9,11 mod 16", "+1",
+        lambda q: q.diff < -4 and q.s_u % 16 in (5, 9, 11)),
+    Row("diff=-4", "s_2 = 3,5,7,9,11,15 mod 16", "-1",
+        lambda q: q.diff == -4 and q.s_u % 16 in (3, 5, 7, 9, 11, 15)),
+    Row("diff=-4", "s_2 = 1,13 mod 16", "+1",
+        lambda q: q.diff == -4 and q.s_u % 16 in (1, 13)),
+    Row("diff=-2", "s_2 = 3 mod 4", "+1",
+        lambda q: q.diff == -2 and q.s_u % 4 == 3),
+    Row("diff=-2", "s_2 = 1,13 mod 16, t_2 = 1 mod 4", "+1",
+        lambda q: q.diff == -2 and q.s_u % 16 in (1, 13) and q.t_u % 4 == 1),
+    Row("diff=-2", "s_2 = 5,9 mod 16, t_2 = 3 mod 4", "+1",
+        lambda q: q.diff == -2 and q.s_u % 16 in (5, 9) and q.t_u % 4 == 3),
+    Row("diff=-2", "otherwise", "-1",
+        lambda q: q.diff == -2),
+    Row("diff=2", "t_2 = s_2 mod 4", "+1",
+        lambda q: q.diff == 2 and q.t_u % 4 == q.s_u % 4),
+    Row("diff=2", "t_2 = -s_2 mod 4", "-1",
+        lambda q: q.diff == 2 and q.t_u % 4 == -q.s_u % 4),
+    Row("diff=2mod4>2", "t_2 = 3 mod 4", "+1",
+        lambda q: q.diff > 2 and q.diff % 4 == 2 and q.t_u % 4 == 3),
+    Row("diff=2mod4>2", "t_2 = 1 mod 4", "-1",
+        lambda q: q.diff > 2 and q.diff % 4 == 2 and q.t_u % 4 == 1),
+    Row("diff=4", "t_2 = 1,5 mod 8", "+1",
+        lambda q: q.diff == 4 and q.t_u % 8 in (1, 5)),
+    Row("diff=4", "s_2 = 1 mod 4, t_2 = 3 mod 8", "+1",
+        lambda q: q.diff == 4 and q.s_u % 4 == 1 and q.t_u % 8 == 3),
+    Row("diff=4", "s_2 = 3 mod 4, t_2 = 7 mod 8", "+1",
+        lambda q: q.diff == 4 and q.s_u % 4 == 3 and q.t_u % 8 == 7),
+    Row("diff=4", "otherwise", "-1",
+        lambda q: q.diff == 4),
+    Row("diff=0mod4>4", "t_2 = 7 mod 8", "+1",
+        lambda q: q.diff > 4 and q.diff % 4 == 0 and q.t_u % 8 == 7),
+    Row("diff=0mod4>4", "otherwise", "-1",
+        lambda q: q.diff > 4 and q.diff % 4 == 0),
 ]
 
 # --------------------------------------------------------------------- T9
 
 T9 = [
     Row("diff=1", "(t_2, d_2) mod 8 in {(1;1,7),(3;5,7),(5;3,5),(7;1,3)}",
+        "+1",
         lambda q: q.m == 1 and (q.t_u % 8, q.d_u % 8) in
-        {(1, 1), (1, 7), (3, 5), (3, 7), (5, 3), (5, 5), (7, 1), (7, 3)},
-        lambda q: 1, "+1"),
-    Row("diff=1", "otherwise",
-        lambda q: q.m == 1,
-        lambda q: -1, "-1"),
-    Row("diff=2", "t_2 d_2 = 3 mod 4",
-        lambda q: q.m == 2 and q.t_u * q.d_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=2", "otherwise",
-        lambda q: q.m == 2,
-        lambda q: -1, "-1"),
+        {(1, 1), (1, 7), (3, 5), (3, 7), (5, 3), (5, 5), (7, 1), (7, 3)}),
+    Row("diff=1", "otherwise", "-1",
+        lambda q: q.m == 1),
+    Row("diff=2", "t_2 d_2 = 3 mod 4", "+1",
+        lambda q: q.m == 2 and q.t_u * q.d_u % 4 == 3),
+    Row("diff=2", "otherwise", "-1",
+        lambda q: q.m == 2),
     Row("diff=3", "(t_2, d_2) mod 8 in {(1;3,5),(3;1,3),(5;1,7),(7;5,7)}",
+        "+1",
         lambda q: q.m == 3 and (q.t_u % 8, q.d_u % 8) in
-        {(1, 3), (1, 5), (3, 1), (3, 3), (5, 1), (5, 7), (7, 5), (7, 7)},
-        lambda q: 1, "+1"),
-    Row("diff=3", "otherwise",
-        lambda q: q.m == 3,
-        lambda q: -1, "-1"),
+        {(1, 3), (1, 5), (3, 1), (3, 3), (5, 1), (5, 7), (7, 5), (7, 7)}),
+    Row("diff=3", "otherwise", "-1",
+        lambda q: q.m == 3),
     Row("diff=5", "(d_2, t_2) mod 8 in {(1;1,3,7),(3;1,3,5),(5;1,3,5),(7;1,5,7)}",
+        "+1",
         lambda q: q.m == 5 and (q.d_u % 8, q.t_u % 8) in
         {(1, 1), (1, 3), (1, 7), (3, 1), (3, 3), (3, 5),
-         (5, 1), (5, 3), (5, 5), (7, 1), (7, 5), (7, 7)},
-        lambda q: 1, "+1"),
-    Row("diff=5", "otherwise",
-        lambda q: q.m == 5,
-        lambda q: -1, "-1"),
-    Row("otherwise", "",
-        lambda q: True,
-        lambda q: _sgn4(q.t_u), "t_2 mod 4"),
+         (5, 1), (5, 3), (5, 5), (7, 1), (7, 5), (7, 7)}),
+    Row("diff=5", "otherwise", "-1",
+        lambda q: q.m == 5),
+    Row("otherwise", "", "t_2 mod 4",
+        lambda q: True),
 ]
 
 # -------------------------------------------------------------------- T10a
 
 T10a = [
-    Row("diff<=-2", "s_2 = 3,5 mod 8",
-        lambda q: q.diff <= -2 and q.s_u % 8 in (3, 5),
-        lambda q: -1, "-1"),
-    Row("diff<=-2", "s_2 = 1,7 mod 8",
-        lambda q: q.diff <= -2 and q.s_u % 8 in (1, 7),
-        lambda q: 1, "+1"),
-    Row("diff=-1", "s_2 = 1,7 mod 8, t_2 = 1 mod 4",
-        lambda q: q.diff == -1 and q.s_u % 8 in (1, 7) and q.t_u % 4 == 1,
-        lambda q: 1, "+1"),
-    Row("diff=-1", "s_2 = 3,5 mod 8, t_2 = 3 mod 4",
-        lambda q: q.diff == -1 and q.s_u % 8 in (3, 5) and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=-1", "otherwise",
-        lambda q: q.diff == -1,
-        lambda q: -1, "-1"),
-    Row("diff=1", "s_2 = 1 mod 4, t_2 = 1,7 mod 8",
-        lambda q: q.diff == 1 and q.s_u % 4 == 1 and q.t_u % 8 in (1, 7),
-        lambda q: 1, "+1"),
-    Row("diff=1", "s_2 = 3 mod 4, t_2 = 1,3 mod 8",
-        lambda q: q.diff == 1 and q.s_u % 4 == 3 and q.t_u % 8 in (1, 3),
-        lambda q: 1, "+1"),
-    Row("diff=1", "otherwise",
-        lambda q: q.diff == 1,
-        lambda q: -1, "-1"),
-    Row("diff=5", "t_2 = 1,5,7 mod 8",
-        lambda q: q.diff == 5 and q.t_u % 8 in (1, 5, 7),
-        lambda q: 1, "+1"),
-    Row("diff=5", "otherwise",
-        lambda q: q.diff == 5,
-        lambda q: -1, "-1"),
-    Row("diff=1mod4>5", "t_2 = 7 mod 8",
-        lambda q: q.diff > 5 and q.diff % 4 == 1 and q.t_u % 8 == 7,
-        lambda q: 1, "+1"),
-    Row("diff=1mod4>5", "otherwise",
-        lambda q: q.diff > 5 and q.diff % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("diff=3", "s_2 = 3 mod 4",
-        lambda q: q.diff == 3 and q.s_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=3", "s_2 = 1 mod 4",
-        lambda q: q.diff == 3 and q.s_u % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("diff=3mod4>3", "t_2 = 3 mod 4",
-        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=3mod4>3", "t_2 = 1 mod 4",
-        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 4 == 1,
-        lambda q: -1, "-1"),
+    Row("diff<=-2", "s_2 = 3,5 mod 8", "-1",
+        lambda q: q.diff <= -2 and q.s_u % 8 in (3, 5)),
+    Row("diff<=-2", "s_2 = 1,7 mod 8", "+1",
+        lambda q: q.diff <= -2 and q.s_u % 8 in (1, 7)),
+    Row("diff=-1", "s_2 = 1,7 mod 8, t_2 = 1 mod 4", "+1",
+        lambda q: q.diff == -1 and q.s_u % 8 in (1, 7) and q.t_u % 4 == 1),
+    Row("diff=-1", "s_2 = 3,5 mod 8, t_2 = 3 mod 4", "+1",
+        lambda q: q.diff == -1 and q.s_u % 8 in (3, 5) and q.t_u % 4 == 3),
+    Row("diff=-1", "otherwise", "-1",
+        lambda q: q.diff == -1),
+    Row("diff=1", "s_2 = 1 mod 4, t_2 = 1,7 mod 8", "+1",
+        lambda q: q.diff == 1 and q.s_u % 4 == 1 and q.t_u % 8 in (1, 7)),
+    Row("diff=1", "s_2 = 3 mod 4, t_2 = 1,3 mod 8", "+1",
+        lambda q: q.diff == 1 and q.s_u % 4 == 3 and q.t_u % 8 in (1, 3)),
+    Row("diff=1", "otherwise", "-1",
+        lambda q: q.diff == 1),
+    Row("diff=5", "t_2 = 1,5,7 mod 8", "+1",
+        lambda q: q.diff == 5 and q.t_u % 8 in (1, 5, 7)),
+    Row("diff=5", "otherwise", "-1",
+        lambda q: q.diff == 5),
+    Row("diff=1mod4>5", "t_2 = 7 mod 8", "+1",
+        lambda q: q.diff > 5 and q.diff % 4 == 1 and q.t_u % 8 == 7),
+    Row("diff=1mod4>5", "otherwise", "-1",
+        lambda q: q.diff > 5 and q.diff % 4 == 1),
+    Row("diff=3", "s_2 = 3 mod 4", "+1",
+        lambda q: q.diff == 3 and q.s_u % 4 == 3),
+    Row("diff=3", "s_2 = 1 mod 4", "-1",
+        lambda q: q.diff == 3 and q.s_u % 4 == 1),
+    Row("diff=3mod4>3", "t_2 = 3 mod 4", "+1",
+        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 4 == 3),
+    Row("diff=3mod4>3", "t_2 = 1 mod 4", "-1",
+        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 4 == 1),
 ]
 
 # -------------------------------------------------------------------- T11
 
 T11 = [
-    Row("diff<-4", "s_2 = 1,3,5,9,13,15 mod 16",
-        lambda q: q.diff < -4 and q.s_u % 16 in (1, 3, 5, 9, 13, 15),
-        lambda q: 1, "+1"),
-    Row("diff<-4", "s_2 = 7,11 mod 16",
-        lambda q: q.diff < -4 and q.s_u % 16 in (7, 11),
-        lambda q: -1, "-1"),
-    Row("diff=-4", "s_2 = 1,5,7,9,11,13 mod 16",
-        lambda q: q.diff == -4 and q.s_u % 16 in (1, 5, 7, 9, 11, 13),
-        lambda q: 1, "+1"),
-    Row("diff=-4", "s_2 = 3,15 mod 16",
-        lambda q: q.diff == -4 and q.s_u % 16 in (3, 15),
-        lambda q: -1, "-1"),
-    Row("diff=-2", "s_2 = 3,7 mod 16, t_2 = 1 mod 4",
-        lambda q: q.diff == -2 and q.s_u % 16 in (3, 7) and q.t_u % 4 == 1,
-        lambda q: 1, "+1"),
-    Row("diff=-2", "s_2 = 11,15 mod 16, t_2 = 3 mod 4",
-        lambda q: q.diff == -2 and q.s_u % 16 in (11, 15) and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=-2", "otherwise",
-        lambda q: q.diff == -2,
-        lambda q: -1, "-1"),
-    Row("diff=0mod4>0", "t_2 = 3 mod 4",
-        lambda q: q.diff > 0 and q.diff % 4 == 0 and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=0mod4>0", "t_2 = 1 mod 4",
-        lambda q: q.diff > 0 and q.diff % 4 == 0 and q.t_u % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("diff=2", "s_2 = 1 mod 8, t_2 = 3,5,7 mod 8",
-        lambda q: q.diff == 2 and q.s_u % 8 == 1 and q.t_u % 8 in (3, 5, 7),
-        lambda q: 1, "+1"),
-    Row("diff=2", "s_2 = 5 mod 8, t_2 = 1,3,7 mod 8",
-        lambda q: q.diff == 2 and q.s_u % 8 == 5 and q.t_u % 8 in (1, 3, 7),
-        lambda q: 1, "+1"),
-    Row("diff=2", "otherwise",
-        lambda q: q.diff == 2,
-        lambda q: -1, "-1"),
-    Row("diff=6", "t_2 = 3 mod 4",
-        lambda q: q.diff == 6 and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=6", "t_2 = 1 mod 4",
-        lambda q: q.diff == 6 and q.t_u % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("diff=2mod4>6", "t_2 = 7 mod 8",
-        lambda q: q.diff > 6 and q.diff % 4 == 2 and q.t_u % 8 == 7,
-        lambda q: 1, "+1"),
-    Row("diff=2mod4>6", "otherwise",
-        lambda q: q.diff > 6 and q.diff % 4 == 2,
-        lambda q: -1, "-1"),
+    Row("diff<-4", "s_2 = 1,3,5,9,13,15 mod 16", "+1",
+        lambda q: q.diff < -4 and q.s_u % 16 in (1, 3, 5, 9, 13, 15)),
+    Row("diff<-4", "s_2 = 7,11 mod 16", "-1",
+        lambda q: q.diff < -4 and q.s_u % 16 in (7, 11)),
+    Row("diff=-4", "s_2 = 1,5,7,9,11,13 mod 16", "+1",
+        lambda q: q.diff == -4 and q.s_u % 16 in (1, 5, 7, 9, 11, 13)),
+    Row("diff=-4", "s_2 = 3,15 mod 16", "-1",
+        lambda q: q.diff == -4 and q.s_u % 16 in (3, 15)),
+    Row("diff=-2", "s_2 = 3,7 mod 16, t_2 = 1 mod 4", "+1",
+        lambda q: q.diff == -2 and q.s_u % 16 in (3, 7) and q.t_u % 4 == 1),
+    Row("diff=-2", "s_2 = 11,15 mod 16, t_2 = 3 mod 4", "+1",
+        lambda q: q.diff == -2 and q.s_u % 16 in (11, 15) and q.t_u % 4 == 3),
+    Row("diff=-2", "otherwise", "-1",
+        lambda q: q.diff == -2),
+    Row("diff=0mod4>0", "t_2 = 3 mod 4", "+1",
+        lambda q: q.diff > 0 and q.diff % 4 == 0 and q.t_u % 4 == 3),
+    Row("diff=0mod4>0", "t_2 = 1 mod 4", "-1",
+        lambda q: q.diff > 0 and q.diff % 4 == 0 and q.t_u % 4 == 1),
+    Row("diff=2", "s_2 = 1 mod 8, t_2 = 3,5,7 mod 8", "+1",
+        lambda q: q.diff == 2 and q.s_u % 8 == 1 and q.t_u % 8 in (3, 5, 7)),
+    Row("diff=2", "s_2 = 5 mod 8, t_2 = 1,3,7 mod 8", "+1",
+        lambda q: q.diff == 2 and q.s_u % 8 == 5 and q.t_u % 8 in (1, 3, 7)),
+    Row("diff=2", "otherwise", "-1",
+        lambda q: q.diff == 2),
+    Row("diff=6", "t_2 = 3 mod 4", "+1",
+        lambda q: q.diff == 6 and q.t_u % 4 == 3),
+    Row("diff=6", "t_2 = 1 mod 4", "-1",
+        lambda q: q.diff == 6 and q.t_u % 4 == 1),
+    Row("diff=2mod4>6", "t_2 = 7 mod 8", "+1",
+        lambda q: q.diff > 6 and q.diff % 4 == 2 and q.t_u % 8 == 7),
+    Row("diff=2mod4>6", "otherwise", "-1",
+        lambda q: q.diff > 6 and q.diff % 4 == 2),
 ]
 
 # -------------------------------------------------------------------- T12
 
 T12 = [
-    Row("diff=0,1,3,5mod6 !=1,3", "",
-        lambda q: q.m > 4 and q.m % 6 in (0, 1, 3, 5),
-        lambda q: _sgn4(q.t_u), "t_2 mod 4"),
-    Row("diff=1", "t_2 = 1 mod 8",
-        lambda q: q.m == 1 and q.t_u % 8 == 1,
-        lambda q: 1, "+1"),
-    Row("diff=1", "t_2 = 3 mod 8",
-        lambda q: q.m == 1 and q.t_u % 8 == 3,
-        lambda q: _sgn4(q.d_u), "d_2 mod 4"),
-    Row("diff=1", "t_2 = 5 mod 8",
-        lambda q: q.m == 1 and q.t_u % 8 == 5,
-        lambda q: -1, "-1"),
-    Row("diff=1", "t_2 = 7 mod 8",
-        lambda q: q.m == 1 and q.t_u % 8 == 7,
-        lambda q: -_sgn4(q.d_u), "-(d_2 mod 4)"),
-    Row("diff=2", "t_2 = 1 mod 4",
-        lambda q: q.m == 2 and q.t_u % 4 == 1,
-        lambda q: 1, "+1"),
-    Row("diff=2", "t_2 = 3 mod 8",
-        lambda q: q.m == 2 and q.t_u % 8 == 3,
-        lambda q: -_sgn4(q.d_u), "-(d_2 mod 4)"),
-    Row("diff=2", "t_2 = 7 mod 8",
-        lambda q: q.m == 2 and q.t_u % 8 == 7,
-        lambda q: -1, "-1"),
-    Row("diff=2,4mod6>4", "",
-        lambda q: q.m > 4 and q.m % 6 in (2, 4),
-        lambda q: -_sgn4(q.d_u), "-(d_2 mod 4)"),
-    Row("diff=3", "",
-        lambda q: q.m == 3,
-        lambda q: -1, "-1"),
+    Row("diff=0,1,3,5mod6 !=1,3", "", "t_2 mod 4",
+        lambda q: q.m > 4 and q.m % 6 in (0, 1, 3, 5)),
+    Row("diff=1", "t_2 = 1 mod 8", "+1",
+        lambda q: q.m == 1 and q.t_u % 8 == 1),
+    Row("diff=1", "t_2 = 3 mod 8", "d_2 mod 4",
+        lambda q: q.m == 1 and q.t_u % 8 == 3),
+    Row("diff=1", "t_2 = 5 mod 8", "-1",
+        lambda q: q.m == 1 and q.t_u % 8 == 5),
+    Row("diff=1", "t_2 = 7 mod 8", "-(d_2 mod 4)",
+        lambda q: q.m == 1 and q.t_u % 8 == 7),
+    Row("diff=2", "t_2 = 1 mod 4", "+1",
+        lambda q: q.m == 2 and q.t_u % 4 == 1),
+    Row("diff=2", "t_2 = 3 mod 8", "-(d_2 mod 4)",
+        lambda q: q.m == 2 and q.t_u % 8 == 3),
+    Row("diff=2", "t_2 = 7 mod 8", "-1",
+        lambda q: q.m == 2 and q.t_u % 8 == 7),
+    Row("diff=2,4mod6>4", "", "-(d_2 mod 4)",
+        lambda q: q.m > 4 and q.m % 6 in (2, 4)),
+    Row("diff=3", "", "-1",
+        lambda q: q.m == 3),
     Row("diff=4", "(t_2, d_2) mod 8 in {(1;5),(5;1),(3;1,5,7),(7;1,3,5)}",
+        "+1",
         lambda q: q.m == 4 and (q.t_u % 8, q.d_u % 8) in
-        {(1, 5), (5, 1), (3, 1), (3, 5), (3, 7), (7, 1), (7, 3), (7, 5)},
-        lambda q: 1, "+1"),
-    Row("diff=4", "otherwise",
-        lambda q: q.m == 4,
-        lambda q: -1, "-1"),
+        {(1, 5), (5, 1), (3, 1), (3, 5), (3, 7), (7, 1), (7, 3), (7, 5)}),
+    Row("diff=4", "otherwise", "-1",
+        lambda q: q.m == 4),
 ]
 
 # -------------------------------------------------------------------- T10b
 
 T10b = [
-    Row("diff<=-2", "s_2 = 1,7 mod 8",
-        lambda q: q.diff <= -2 and q.s_u % 8 in (1, 7),
-        lambda q: -1, "-1"),
-    Row("diff<=-2", "s_2 = 3,5 mod 8",
-        lambda q: q.diff <= -2 and q.s_u % 8 in (3, 5),
-        lambda q: 1, "+1"),
-    Row("diff=-1", "s_2 = 1,3 mod 8, t_2 = 1 mod 4",
-        lambda q: q.diff == -1 and q.s_u % 8 in (1, 3) and q.t_u % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("diff=-1", "s_2 = 1,3 mod 8, t_2 = 3 mod 4",
-        lambda q: q.diff == -1 and q.s_u % 8 in (1, 3) and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=-1", "s_2 = 5,7 mod 8, t_2 = 3 mod 4",
-        lambda q: q.diff == -1 and q.s_u % 8 in (5, 7) and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=-1", "s_2 = 5,7 mod 8, t_2 = 1 mod 4",
-        lambda q: q.diff == -1 and q.s_u % 8 in (5, 7) and q.t_u % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("diff=1", "t_2 = s_2, s_2+2 mod 8",
-        lambda q: q.diff == 1 and q.t_u % 8 in (q.s_u % 8, (q.s_u + 2) % 8),
-        lambda q: 1, "+1"),
-    Row("diff=1", "otherwise",
-        lambda q: q.diff == 1,
-        lambda q: -1, "-1"),
-    Row("diff=1mod4>1", "t_2 = 3 mod 4",
-        lambda q: q.diff > 1 and q.diff % 4 == 1 and q.t_u % 4 == 3,
-        lambda q: 1, "+1"),
-    Row("diff=1mod4>1", "t_2 = 1 mod 4",
-        lambda q: q.diff > 1 and q.diff % 4 == 1 and q.t_u % 4 == 1,
-        lambda q: -1, "-1"),
-    Row("diff=3", "s_2 = 1 mod 4, t_2 = 3,5 mod 8",
-        lambda q: q.diff == 3 and q.s_u % 4 == 1 and q.t_u % 8 in (3, 5),
-        lambda q: 1, "+1"),
-    Row("diff=3", "s_2 = 3 mod 4, t_2 = 1,3 mod 8",
-        lambda q: q.diff == 3 and q.s_u % 4 == 3 and q.t_u % 8 in (1, 3),
-        lambda q: 1, "+1"),
-    Row("diff=3", "otherwise",
-        lambda q: q.diff == 3,
-        lambda q: -1, "-1"),
-    Row("diff=3mod4>3", "t_2 = 7 mod 8",
-        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 8 == 7,
-        lambda q: 1, "+1"),
-    Row("diff=3mod4>3", "otherwise",
-        lambda q: q.diff > 3 and q.diff % 4 == 3,
-        lambda q: -1, "-1"),
+    Row("diff<=-2", "s_2 = 1,7 mod 8", "-1",
+        lambda q: q.diff <= -2 and q.s_u % 8 in (1, 7)),
+    Row("diff<=-2", "s_2 = 3,5 mod 8", "+1",
+        lambda q: q.diff <= -2 and q.s_u % 8 in (3, 5)),
+    Row("diff=-1", "s_2 = 1,3 mod 8, t_2 = 1 mod 4", "-1",
+        lambda q: q.diff == -1 and q.s_u % 8 in (1, 3) and q.t_u % 4 == 1),
+    Row("diff=-1", "s_2 = 1,3 mod 8, t_2 = 3 mod 4", "+1",
+        lambda q: q.diff == -1 and q.s_u % 8 in (1, 3) and q.t_u % 4 == 3),
+    Row("diff=-1", "s_2 = 5,7 mod 8, t_2 = 3 mod 4", "+1",
+        lambda q: q.diff == -1 and q.s_u % 8 in (5, 7) and q.t_u % 4 == 3),
+    Row("diff=-1", "s_2 = 5,7 mod 8, t_2 = 1 mod 4", "-1",
+        lambda q: q.diff == -1 and q.s_u % 8 in (5, 7) and q.t_u % 4 == 1),
+    Row("diff=1", "t_2 = s_2, s_2+2 mod 8", "+1",
+        lambda q: q.diff == 1 and q.t_u % 8 in (q.s_u % 8, (q.s_u + 2) % 8)),
+    Row("diff=1", "otherwise", "-1",
+        lambda q: q.diff == 1),
+    Row("diff=1mod4>1", "t_2 = 3 mod 4", "+1",
+        lambda q: q.diff > 1 and q.diff % 4 == 1 and q.t_u % 4 == 3),
+    Row("diff=1mod4>1", "t_2 = 1 mod 4", "-1",
+        lambda q: q.diff > 1 and q.diff % 4 == 1 and q.t_u % 4 == 1),
+    Row("diff=3", "s_2 = 1 mod 4, t_2 = 3,5 mod 8", "+1",
+        lambda q: q.diff == 3 and q.s_u % 4 == 1 and q.t_u % 8 in (3, 5)),
+    Row("diff=3", "s_2 = 3 mod 4, t_2 = 1,3 mod 8", "+1",
+        lambda q: q.diff == 3 and q.s_u % 4 == 3 and q.t_u % 8 in (1, 3)),
+    Row("diff=3", "otherwise", "-1",
+        lambda q: q.diff == 3),
+    Row("diff=3mod4>3", "t_2 = 7 mod 8", "+1",
+        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 8 == 7),
+    Row("diff=3mod4>3", "otherwise", "-1",
+        lambda q: q.diff > 3 and q.diff % 4 == 3),
 ]
 
 
@@ -626,19 +513,10 @@ TABLES: dict[str, list[Row]] = {
     "T8": T8, "T9": T9, "T10a": T10a, "T10b": T10b, "T11": T11, "T12": T12,
 }
 
-def transcription() -> dict[str, list[tuple[int, str, str]]]:
-    """(ordinal, row id, printed value) per table, for audit references."""
-    return {
-        tid: [(i, row.row_id, row.vdesc) for i, row in enumerate(rows)]
-        for tid, rows in TABLES.items()
-    }
-
 
 def dispatch_table(q: LocalProfile) -> str:
     p = q.p
     eq = q.nu_t != INF and q.nu_s == 2 * q.nu_t
-    if p >= 5:
-        return "T3"
     if p == 3:
         if q.nu_s % 2 == 1:
             return "T4"
@@ -654,7 +532,7 @@ def dispatch_table(q: LocalProfile) -> str:
         if r == 2:
             return "T12" if eq else "T11"
         return "T10b"
-    raise ValueError(f"p must be prime, got {p}")
+    return "T3"
 
 
 @dataclass(frozen=True)

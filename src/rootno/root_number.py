@@ -32,7 +32,7 @@ class Breakdown:
 
 def factor_base(s: int, t: int) -> list[int]:
     """Ascending primes dividing 6 s (t^2 - s); rejects singular fibres."""
-    if s == 0 or is_singular(s, t):
+    if is_singular(s, t):
         raise ValueError(f"fibre (s={s}, t={t}) is singular")
     primes = {2, 3}
     primes.update(p for p, _ in factorize(s)[1])

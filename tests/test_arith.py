@@ -110,6 +110,8 @@ def test_legendre_rejects_bad_modulus():
         legendre(2, 2)
     with pytest.raises(ValueError):
         legendre(2, -7)
+    with pytest.raises(ValueError):
+        legendre(1, 5.0)
 
 
 def test_jacobi_pins():
@@ -240,6 +242,27 @@ def test_factorize_gives_up_after_the_last_ecm_level(monkeypatch):
     assert is_prime(p) and is_prime(q)
     with pytest.raises(ValueError, match="79-bit"):
         factorize(p * q)
+
+
+def test_factorize_refuses_a_composite_cofactor_above_256_bits(monkeypatch):
+    def never(*args):
+        raise AssertionError("a cofactor above the limit reached rho or ECM")
+
+    monkeypatch.setattr(arith, "_brent_rho", never)
+    monkeypatch.setattr(arith, "_ecm_curve", never)
+    # the next primes after 2**128 + 12345 and after 2**129 + 98765
+    p = 340282366920938463463374607431768223829
+    q = 680564733841876926926749214863536521729
+    with pytest.raises(ValueError, match="258-bit"):
+        factorize(p * q)
+    # powers of two, primes and prime powers above the limit still factor
+    assert factorize(3 * 2**300) == (1, [(2, 300), (3, 1)])
+    r = 2**300 + 1
+    while not is_prime(r):
+        r += 2
+    assert factorize(r) == (1, [(r, 1)])
+    s = 680564733841876926926749214863536422929   # next prime after 2**129
+    assert factorize(s * s) == (1, [(s, 2)])
 
 
 def test_factorize_powers_of_large_primes():

@@ -130,6 +130,22 @@ def test_check_table1_route_is_printed_separately():
     lines = r.stdout.splitlines()
     assert lines[0] == "Constant(+1) [P3.2, C3b]"
     assert "table route: no matching row" in lines
+    # outside the -3r^2 gate the table route has no row, and the verdict
+    # and witnesses are printed as without --table1
+    r = run_cli("check", "--s", "12", "--a", "1", "--b", "1", "--table1")
+    assert r.returncode == 1
+    lines = r.stdout.splitlines()
+    assert lines[:2] == ["NonConstant: s not of form -3r^2",
+                         "table route: no matching row"]
+    assert "witness: W = +1 at u=0 (t=1)" in lines
+    r = run_cli("check", "--s", "12", "--a", "1", "--b", "1", "--table1",
+                "--json")
+    assert r.returncode == 1
+    doc = json.loads(r.stdout)
+    assert doc["reason"] == "s not of form -3r^2"
+    assert doc["table1_row"] is None
+    assert doc["witnesses"] == [{"u": 0, "t": 1, "W": 1},
+                                {"u": 1, "t": 2, "W": -1}]
 
 
 def test_check_json_shape():

@@ -14,10 +14,11 @@ import pytest
 
 from rootno.arith import legendre
 from rootno.local_signs import (
+    _VALUES,
     TABLES,
     LocalProfile,
+    Row,
     dispatch_table,
-    transcription,
     w_star,
     w_star_hit,
 )
@@ -146,15 +147,25 @@ EXPECTED_ROW_COUNTS = {
 
 
 def test_transcription_records():
-    rec = transcription()
-    assert set(rec) == set(EXPECTED_ROW_COUNTS)
-    for tid, rows in rec.items():
+    assert set(TABLES) == set(EXPECTED_ROW_COUNTS)
+    for tid, rows in TABLES.items():
         assert len(rows) == EXPECTED_ROW_COUNTS[tid], tid
-        ids = [row_id for _, row_id, _ in rows]
+        ids = [row.row_id for row in rows]
         assert len(ids) == len(set(ids)), f"duplicate row ids in {tid}"
-        for ordinal, _, vdesc in rows:
-            assert 0 <= ordinal < len(rows)
-            assert vdesc
+        for row in rows:
+            assert row.vdesc
+
+
+def test_printed_values_are_exactly_the_evaluated_ones():
+    # no evaluator without a row that prints its value, and no printed
+    # value without an evaluator
+    used = {row.vdesc for rows in TABLES.values() for row in rows}
+    assert used == set(_VALUES)
+
+
+def test_row_refuses_an_unknown_printed_value():
+    with pytest.raises(ValueError, match=r"'\+2'"):
+        Row("diff=0", "", "+2", lambda q: True)
 
 
 # ------------------------------------------------------------ row coverage
