@@ -34,11 +34,9 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-def _sieve(limit: int) -> list[int]:
-    return list(itertools.compress(range(limit + 1), _prime_flags(limit)))
-
-_SMALL_PRIMES = _sieve(_TRIAL_BOUND)
-_SMALL_PRIME_SET = set(_SMALL_PRIMES)
+# is_prime reads n < 2^16 from the flags; trial division walks the list
+_SMALL_FLAGS = _prime_flags(_TRIAL_BOUND)
+_SMALL_PRIMES = list(itertools.compress(range(_TRIAL_BOUND + 1), _SMALL_FLAGS))
 
 
 # --------------------------------------------------------------- primality
@@ -105,7 +103,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < _TRIAL_BOUND:
-        return n in _SMALL_PRIME_SET
+        return _SMALL_FLAGS[n] == 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
@@ -159,6 +157,12 @@ def valuation_or_inf(p: int, x: Number) -> tuple[Union[int, float], Number]:
 def _require_prime(p: int) -> None:
     if type(p) is not int or p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
+
+
+def require_nonzero_int(name: str, x: int) -> None:
+    """Rejects bools, non-ints and zero as the argument called name."""
+    if type(x) is not int or x == 0:
+        raise ValueError("%s must be a nonzero integer" % name)
 
 
 # ----------------------------------------------------------------- symbols

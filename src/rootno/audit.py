@@ -9,11 +9,24 @@ t^2 = s for the deep rows.  ``falsify_constancy`` scans a progression
 (skipping singular fibres) and then walks those probes looking for two
 fibres with opposite global sign.
 
-``run_paper_examples`` re-derives the worked-example claims and emits a
-divergence record wherever a claim, a condition list, or a table route
-disagrees with enumeration.  Records are plain dicts; ``ledger_json``
-serializes the result deterministically so repeated runs are
-byte-identical.
+``run_paper_examples`` re-checks each row of ``EXAMPLES`` (the paper's
+worked examples and one synthetic cross-check) with its family's
+checker.  A checker enumerates |u| <= 60 outward from u = 0 up to the
+first sign flip, with the walk ``falsify_constancy`` uses, and emits:
+
+- ``table-vs-paper-example`` (F) when enumeration shows both signs, or
+  one sign other than the claimed one;
+- ``theorem-vs-table`` (F) when ``check_f`` says Constant while
+  enumeration shows both signs, with ``theorem-vs-table1`` beside it
+  saying what ``check_f_table1`` gives;
+- ``lemma-vs-example`` (L) when ``check_l_lemma`` does not give the
+  claimed sign or enumeration does not stay at it.
+
+An F record's prime is the smallest p | 6s at which the two opposing
+fibres' local signs differ (for s = -3r^2 every other prime gives +1),
+and its condition id is ``check_f``'s condition at that prime.  Records
+are plain dicts; ``ledger_json`` serializes the result deterministically
+so repeated runs are byte-identical.
 
 ``classical_local_root_number`` and ``classical_cross_check`` read
 externally supplied local root number data; no data ships with the
@@ -23,14 +36,15 @@ raise FeatureDisabled.
 
 import json
 import os
+from functools import partial
 from typing import Optional
 
-from .arith import (_require_prime, factorize, legendre, sqrt_mod_prime_power,
-                    valuation)
-from .constancy import (check_f, check_f_table1, check_l_lemma,
-                        require_nonzero_int, require_progression)
+from .arith import (_require_prime, as_minus_3_square, factorize, legendre,
+                    require_nonzero_int, sqrt_mod_prime_power, valuation)
+from .constancy import (_condition, check_f, check_f_table1, check_l_lemma,
+                        require_progression)
 from .families import is_singular
-from .local_signs import w_star_hit
+from .local_signs import w_star, w_star_hit
 from .root_number import breakdown_f, breakdown_l, root_number_f, root_number_l
 
 _BLOCK_CAP = 2048
@@ -112,6 +126,31 @@ def _scan_order(budget: int):
         k += 1
 
 
+def _sign_flip(sign_of, us) -> tuple:
+    """Walk us in order, skipping each u where sign_of(u) is None (a
+    singular fibre).  Returns (first, flip): the first signed fibre (u, W)
+    and the first later one of the opposite sign, or None for flip when
+    the sign never changes."""
+    first = None
+    for u in us:
+        w = sign_of(u)
+        if w is None:
+            continue
+        if first is None:
+            first = (u, w)
+        elif w != first[1]:
+            return first, (u, w)
+    return first, None
+
+
+def _f_sign(s: int, a: int, b: int):
+    """u -> W of the fibre t = a*u + b, None where that fibre is singular."""
+    def sign_of(u):
+        t = a * u + b
+        return None if is_singular(s, t) else root_number_f(s, t)
+    return sign_of
+
+
 def falsify_constancy(s: int, a: int, b: int, budget: int = 1000) -> Optional[tuple]:
     """Search for two fibres on t = a*u + b with opposite root number.
 
@@ -123,170 +162,123 @@ def falsify_constancy(s: int, a: int, b: int, budget: int = 1000) -> Optional[tu
     require_nonzero_int("s", s)
     require_progression(a, b)
 
-    first = None
+    def scan_then_probes():
+        scanned = set()
+        for u in _scan_order(budget):
+            scanned.add(u)
+            yield u
+        candidates = set()
+        for prm, _ in factorize(6 * abs(s))[1]:
+            candidates.update(probe_set(prm, s, a, b))
+        yield from sorted(candidates - scanned, key=lambda x: (abs(x), x))[:budget]
 
-    def look(u):
-        nonlocal first
-        t = a * u + b
-        if is_singular(s, t):
-            return None
-        w = root_number_f(s, t)
-        if first is None:
-            first = (u, w)
-            return None
-        if w != first[1]:
-            return (first, (u, w))
-        return None
-
-    scanned = set()
-    for u in _scan_order(budget):
-        scanned.add(u)
-        hit = look(u)
-        if hit:
-            return hit
-
-    candidates = set()
-    for prm, _ in factorize(6 * abs(s))[1]:
-        candidates.update(probe_set(prm, s, a, b))
-    for u in sorted(candidates - scanned, key=lambda x: (abs(x), x))[:budget]:
-        hit = look(u)
-        if hit:
-            return hit
-    return None
+    first, flip = _sign_flip(_f_sign(s, a, b), scan_then_probes())
+    return None if flip is None else (first, flip)
 
 
-def _fibre_f(s: int, a: int, b: int, u: int) -> dict:
-    bd = breakdown_f(s, a * u + b)
-    return {"u": u, "t": a * u + b, "W": bd.w, "factors": dict(bd.factors)}
+# The worked examples the audit re-checks, one row each: the family, its
+# curve (s for F; w, s, v for L), the progression t = a*u + b, the claimed
+# constant W (None for the synthetic s = -3 cross-check, which claims
+# nothing) and how many fibres from u = 0 a record shows.
+EXAMPLES = (
+    ("F", {"s": -972}, 12, 18, -1, 6),
+    ("L", {"w": 7, "s": -588, "v": 1}, 12, 6, 1, 4),
+    ("L", {"w": 7, "s": -588, "v": 1}, 4, 2, 1, 4),
+    ("F", {"s": -7500}, 6000, 60, 1, 4),
+    ("F", {"s": -3}, 4, 1, None, 4),
+)
+
+# the checkers enumerate |u| <= _RADIUS outward from u = 0
+_RADIUS = 60
+_WINDOW = tuple(_scan_order(2 * _RADIUS + 1))
 
 
-def _fibre_l(w: int, s: int, v: int, a: int, b: int, u: int) -> dict:
-    bd = breakdown_l(w, s, v, a * u + b)
-    return {"u": u, "t": a * u + b, "W": bd.w, "factors": dict(bd.factors)}
+def _span_text(first: tuple, flip: Optional[tuple]) -> str:
+    return "enumeration over |u| <= %d gives %s" % (
+        _RADIUS, [first[1]] if flip is None else [-1, 1])
+
+
+def _fibres(breakdown, a: int, b: int, us) -> list:
+    """The fibres t = a*u + b a record shows: u, t, W and the local signs."""
+    shown = []
+    for u in us:
+        bd = breakdown(a * u + b)
+        shown.append({"u": u, "t": a * u + b, "W": bd.w,
+                      "factors": dict(bd.factors)})
+    return shown
+
+
+def _check_f(row: dict, claim: Optional[int], shown: int) -> list:
+    """The table-vs-paper-example and theorem-vs-table(1) records of an F
+    example (see the module docstring)."""
+    s, a, b = row["s"], row["a"], row["b"]
+    fibres = partial(_fibres, partial(breakdown_f, s), a, b)
+    first, flip = _sign_flip(_f_sign(s, a, b), _WINDOW)
+    if flip is not None:
+        (u1, w1), (u2, w2) = first, flip
+        prime = next(p for p, _ in factorize(6 * abs(s))[1]
+                     if w_star(p, s, a * u1 + b) != w_star(p, s, a * u2 + b))
+        pair = "u=%d gives W=%+d, u=%d gives W=%+d" % (u1, w1, u2, w2)
+    records = []
+    if claim is not None and not (flip is None and first[1] == claim):
+        rec = dict(row, kind="table-vs-paper-example",
+                   claim="W = %+d for every integer u" % claim,
+                   fibres=fibres(range(shown)))
+        if flip is None:
+            rec["observed"] = _span_text(first, flip)
+        else:
+            hit = w_star_hit(prime, s, a * u1 + b)
+            rec.update(prime=prime, table_row="%s:%s" % (hit.table, hit.cell),
+                       observed="both signs occur: " + pair)
+        records.append(rec)
+    verdict = check_f(s, a, b)
+    if verdict.constant and flip is not None:
+        shared = dict(row, prime=prime, condition_id=_condition(prime, s, a, b)[0],
+                      claim=str(verdict))
+        t1_row = check_f_table1(s, a, b)
+        records.append(dict(shared, kind="theorem-vs-table",
+                            observed="enumeration alternates: " + pair,
+                            fibres=fibres(range(shown))))
+        records.append(dict(shared, kind="theorem-vs-table1",
+                            observed=("no dual-route row matches the progression "
+                                      "while the condition route claims constancy"
+                                      if t1_row is None else
+                                      "dual-route row %s fires while enumeration "
+                                      "alternates" % t1_row),
+                            fibres=fibres((u1, u2))))
+    return records
+
+
+def _check_l(row: dict, claim: int, shown: int) -> list:
+    """The lemma-vs-example record of an L example, if it has one."""
+    w, s, v, a, b = (row[k] for k in ("w", "s", "v", "a", "b"))
+    suff = check_l_lemma(w, as_minus_3_square(s), v, a, b)
+    first, flip = _sign_flip(lambda u: root_number_l(w, s, v, a * u + b), _WINDOW)
+    agrees = flip is None and first[1] == claim
+    if suff.satisfied and suff.sign == claim and agrees:
+        return []
+    lemma = ("sufficiency check: %s" % suff if suff.satisfied else
+             "sufficiency conditions do not apply (%s)" % suff.failed)
+    return [dict(row, kind="lemma-vs-example", condition_id=suff.failed,
+                 claim="W = %+d for every integer u" % claim,
+                 observed="%s; %s%s" % (lemma, _span_text(first, flip),
+                                        ", agreeing with the claimed sign"
+                                        if agrees else ""),
+                 fibres=_fibres(partial(breakdown_l, w, s, v), a, b,
+                                range(shown)))]
 
 
 def run_paper_examples() -> dict:
-    """Re-check the worked-example claims; emit records for divergences."""
+    """Re-check each row of EXAMPLES with its family's checker."""
     checked = []
     records = []
-
-    # progression with a deep 3-part: claimed constant W = -1
-    checked.append("F: s=-972, t=12u+18, claimed constant W=-1")
-    witness = falsify_constancy(-972, 12, 18, 200)
-    if witness is not None:
-        (u1, w1), (u2, w2) = witness
-        hit = w_star_hit(2, -972, 12 * u1 + 18)
-        records.append({
-            "kind": "table-vs-paper-example",
-            "family": "F",
-            "s": -972,
-            "a": 12,
-            "b": 18,
-            "prime": 2,
-            "table_row": "%s:%s" % (hit.table, hit.cell),
-            "claim": "W = -1 for every integer u",
-            "observed": "both signs occur: u=%d gives W=%+d, u=%d gives W=%+d"
-                        % (u1, w1, u2, w2),
-            "fibres": [_fibre_f(-972, 12, 18, u) for u in range(0, 6)],
-        })
-
-    # twisted family on the 12u+6 progression: claimed constant W = +1
-    checked.append("L: w=7, s=-588, v=1, t=12u+6, claimed constant W=+1")
-    suff = check_l_lemma(7, 14, 1, 12, 6)
-    span = {root_number_l(7, -588, 1, 12 * u + 6) for u in range(-60, 61)}
-    if not (suff.satisfied and suff.sign == 1 and span == {1}):
-        records.append({
-            "kind": "lemma-vs-example",
-            "family": "L",
-            "w": 7,
-            "s": -588,
-            "v": 1,
-            "a": 12,
-            "b": 6,
-            "condition_id": suff.failed,
-            "claim": "W = +1 for every integer u",
-            "observed": "sufficiency check: %s; enumeration over |u| <= 60 "
-                        "gives %s" % (suff, sorted(span)),
-            "fibres": [_fibre_l(7, -588, 1, 12, 6, u) for u in range(0, 4)],
-        })
-
-    # same family on 4u+2: the example claims +1 there too
-    checked.append("L: w=7, s=-588, v=1, t=4u+2, claimed constant W=+1")
-    suff = check_l_lemma(7, 14, 1, 4, 2)
-    span = {root_number_l(7, -588, 1, 4 * u + 2) for u in range(-60, 61)}
-    if not (suff.satisfied and suff.sign == 1 and span == {1}):
-        records.append({
-            "kind": "lemma-vs-example",
-            "family": "L",
-            "w": 7,
-            "s": -588,
-            "v": 1,
-            "a": 4,
-            "b": 2,
-            "condition_id": suff.failed,
-            "claim": "W = +1 for every integer u",
-            "observed": "sufficiency conditions do not apply (%s); enumeration "
-                        "over |u| <= 60 gives %s, agreeing with the claimed "
-                        "sign" % (suff.failed, sorted(span)),
-            "fibres": [_fibre_l(7, -588, 1, 4, 2, u) for u in range(0, 4)],
-        })
-
-    # the quartic-shape example: claimed constant W = +1
-    checked.append("F: s=-7500, t=6000u+60, claimed constant W=+1")
-    verdict = check_f(-7500, 6000, 60)
-    span = {root_number_f(-7500, 6000 * u + 60) for u in range(-60, 61)}
-    if not (verdict.constant and verdict.sign == 1 and span == {1}):
-        records.append({
-            "kind": "table-vs-paper-example",
-            "family": "F",
-            "s": -7500,
-            "a": 6000,
-            "b": 60,
-            "claim": "W = +1 for every integer u",
-            "observed": "checker says %s; enumeration over |u| <= 60 gives %s"
-                        % (verdict, sorted(span)),
-            "fibres": [_fibre_f(-7500, 6000, 60, u) for u in range(0, 4)],
-        })
-
-    # synthetic cross-check: the 2-adic equal-depth lane claims constancy
-    # the tables do not deliver
-    checked.append("F: s=-3, t=4u+1, synthetic constancy cross-check")
-    verdict = check_f(-3, 4, 1)
-    witness = falsify_constancy(-3, 4, 1, 100)
-    if verdict.constant and witness is not None:
-        (u1, w1), (u2, w2) = witness
-        lane = next(m for m in verdict.matched if m.startswith("C3"))
-        records.append({
-            "kind": "theorem-vs-table",
-            "family": "F",
-            "s": -3,
-            "a": 4,
-            "b": 1,
-            "prime": 2,
-            "condition_id": lane,
-            "claim": str(verdict),
-            "observed": "enumeration alternates: u=%d gives W=%+d, u=%d gives "
-                        "W=%+d" % (u1, w1, u2, w2),
-            "fibres": [_fibre_f(-3, 4, 1, u) for u in range(0, 4)],
-        })
-        row = check_f_table1(-3, 4, 1)
-        records.append({
-            "kind": "theorem-vs-table1",
-            "family": "F",
-            "s": -3,
-            "a": 4,
-            "b": 1,
-            "prime": 2,
-            "condition_id": lane,
-            "claim": str(verdict),
-            "observed": ("no dual-route row matches the progression while the "
-                         "condition route claims constancy"
-                         if row is None else
-                         "dual-route row %s fires while enumeration alternates"
-                         % row),
-            "fibres": [_fibre_f(-3, 4, 1, u) for u in range(0, 2)],
-        })
-
+    for family, curve, a, b, claim, shown in EXAMPLES:
+        checked.append("%s: %s, t=%du%+d, %s" % (
+            family, ", ".join("%s=%d" % kv for kv in curve.items()), a, b,
+            "synthetic constancy cross-check" if claim is None
+            else "claimed constant W=%+d" % claim))
+        check = _check_f if family == "F" else _check_l
+        records += check(dict(family=family, **curve, a=a, b=b), claim, shown)
     return {"suite": "paper-examples", "checked": checked, "records": records}
 
 

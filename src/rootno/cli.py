@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import as_minus_3_square
+from .arith import as_minus_3_square, require_nonzero_int
 from .audit import (FeatureDisabled, classical_cross_check, falsify_constancy,
                     ledger_json, run_paper_examples)
 from .constancy import check_f, check_f_table1
@@ -91,8 +91,7 @@ def cmd_root_number(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    if args.s == 0:
-        raise ValueError("s must be nonzero")
+    require_nonzero_int("s", args.s)
     verdict = check_f(args.s, args.a, args.b)
     row = None
     if args.table1 and as_minus_3_square(args.s) is not None:
@@ -146,10 +145,8 @@ def _scan_record(job) -> dict:
 
 
 def cmd_scan(args) -> int:
-    if args.s == 0:
-        raise ValueError("s must be nonzero")
-    if args.a == 0:
-        raise ValueError("a must be nonzero")
+    require_nonzero_int("s", args.s)
+    require_nonzero_int("a", args.a)
     if args.u_min > args.u_max:
         raise ValueError("--u-min must not exceed --u-max")
     if args.jobs < 1:

@@ -30,6 +30,7 @@ from .arith import (
     as_minus_3_square,
     factorize,
     legendre,
+    require_nonzero_int,
     valuation,
     valuation_or_inf,
 )
@@ -73,12 +74,6 @@ class Sufficiency:
 
 def _nu(p: int, x: int) -> int:
     return valuation(p, x)[0]
-
-
-def require_nonzero_int(name: str, x: int) -> None:
-    """Rejects bools, non-ints and zero as the argument called name."""
-    if type(x) is not int or x == 0:
-        raise ValueError("%s must be a nonzero integer" % name)
 
 
 def require_progression(a: int, b: int) -> int:

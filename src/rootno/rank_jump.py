@@ -35,9 +35,10 @@ from .arith import (
     factorize,
     is_prime,
     legendre,
+    require_nonzero_int,
     valuation,
 )
-from .constancy import check_f, require_nonzero_int, require_progression
+from .constancy import check_f, require_progression
 
 BANNER = "conditional on the parity conjecture"
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from rootno.arith import factorize
+from rootno.arith import factorize, require_nonzero_int
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import w_star
 
@@ -77,12 +77,15 @@ def root_number_l(w: Number, s: Number, v: Number, t: Number) -> Sign:
 def average_root_number_window(s: int, a: int, b: int, radius: int) -> Fraction:
     """Average of W(t) over t = a u + b, u in [-radius, radius].
 
+    s and a are nonzero ints, b an int and radius a non-negative int.
     Singular fibres are skipped and excluded from the denominator.
     """
-    if a == 0:
-        raise ValueError("progression needs a != 0")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    require_nonzero_int("s", s)
+    require_nonzero_int("a", a)
+    if type(b) is not int:
+        raise ValueError("b must be an integer")
+    if type(radius) is not int or radius < 0:
+        raise ValueError("radius must be a non-negative integer")
     total = 0
     count = 0
     for u in range(-radius, radius + 1):

@@ -189,6 +189,14 @@ def test_is_prime_pins():
     assert not is_prime(2**89 + 1)
 
 
+def test_is_prime_matches_trial_division_below_2_16():
+    # the whole small-prime table, and the first n past it
+    for n in range(-2, (1 << 16) + 2):
+        expected = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == expected, n
+    assert not is_prime(65536) and is_prime(65537)
+
+
 def test_is_prime_cache_is_bounded():
     limit = is_prime.cache_info().maxsize
     assert limit is not None

@@ -5,6 +5,7 @@ The expected spans and witnesses below were frozen from w_star /
 root_number_f enumeration before the audit code existed.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from rootno import arith
 from rootno.audit import (
     FeatureDisabled,
+    classical_cross_check,
     classical_local_root_number,
     falsify_constancy,
     ledger_json,
@@ -19,8 +21,9 @@ from rootno.audit import (
     run_paper_examples,
 )
 from rootno.constancy import check_f_p
+from rootno.families import is_singular
 from rootno.local_signs import w_star
-from rootno.root_number import root_number_f
+from rootno.root_number import breakdown_f, root_number_f
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +240,37 @@ def test_audit_json_is_byte_stable():
     parsed = json.loads(first)
     assert parsed["suite"] == "paper-examples"
     assert _no_floats(parsed)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_audit_ledger_golden():
+    # the whole ledger, pinned: a change to any record, fibre or checked
+    # line shows here, not only a change between two runs of the same code
+    assert _sha256(ledger_json(run_paper_examples())) == \
+        "2a50f77ad0602a12f405ecdc8db46f806c509ef84d92a98c8e9f15a0297bcdd1"
+
+
+def test_audit_ledger_golden_with_classical_oracle(tmp_path, monkeypatch):
+    # the synthetic data of the acceptance test for criterion 10: the
+    # tables' own signs with the sign at p = 2 of (s, t) = (-972, 30)
+    # flipped, so the oracle adds one classical-vs-table record
+    data = {}
+    for s in (-3, -75, -972, -7500, -28812):
+        for t in range(-50, 51):
+            if is_singular(s, t):
+                continue
+            for p, sign in breakdown_f(s, t).factors.items():
+                data["%d:%d:%d" % (p, s, t)] = sign
+    data["2:-972:30"] = -data["2:-972:30"]
+    (tmp_path / "local_signs.json").write_text(json.dumps(data))
+    monkeypatch.setenv("ROOTNO_CLASSICAL_DATA", str(tmp_path))
+    out = run_paper_examples()
+    classical_cross_check(out)
+    assert _sha256(ledger_json(out)) == \
+        "b5f016340d6678b88bcdc6f6cff1d313ff446bb84022021162f01293db00e21d"
 
 
 # ---------------------------------------------------------------------------

@@ -124,3 +124,11 @@ def test_singular_inputs_rejected():
         root_number_f(9, 3)
     with pytest.raises(ValueError):
         root_number_f(0, 7)
+    # the window takes nonzero int s and a, an int b and a non-negative
+    # int radius; a bool a once averaged t = u + 18, a float a reached
+    # legendre as a non-prime, a float radius died in range()
+    for args in [(0, 12, 18, 2), (-972, 0, 18, 2), (-972, True, 18, 2),
+                 (-972, 1.5, 18, 1), (-972, 12, 18.0, 1), (-972, 12, False, 1),
+                 (-972, 12, 18, 2.5), (-972, 12, 18, -1), (-972, 12, 18, True)]:
+        with pytest.raises(ValueError):
+            average_root_number_window(*args)
