@@ -46,6 +46,7 @@ from rootno.root_number import (
     breakdown_l,
     root_number_f,
     root_number_l,
+    window_breakdowns,
 )
 
 __all__ = [
@@ -83,6 +84,7 @@ __all__ = [
     "valuation_or_inf",
     "w_star",
     "w_star_hit",
+    "window_breakdowns",
 ]
 
 __version__ = "0.1.0"

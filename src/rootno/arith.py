@@ -165,6 +165,13 @@ def require_nonzero_int(name: str, x: int) -> None:
         raise ValueError("%s must be a nonzero integer" % name)
 
 
+def require_positive_int(name: str, x: int) -> None:
+    """Rejects bools, non-ints and integers below 1 as the argument called
+    name."""
+    if type(x) is not int or x < 1:
+        raise ValueError("%s must be a positive integer" % name)
+
+
 # ----------------------------------------------------------------- symbols
 
 def legendre(a: int, p: int) -> int:
@@ -222,8 +229,10 @@ def modified_jacobi(a: int, b: int, delta: int) -> int:
 
 def sqrt_mod_prime_power(n: int, p: int, k: int) -> int:
     """x with x*x = n (mod p**k), for n prime to the prime p and a square
-    mod p**k (n = 1 mod 8 when p = 2 and k >= 3): Tonelli-Shanks and Newton
-    lifting for odd p, one bit at a time for p = 2."""
+    mod p**k (n = 1 mod 8 when p = 2 and k >= 3). Mod p: one power for
+    p = 3 (mod 4), Atkin's formula for p = 5 (mod 8), Tonelli-Shanks for
+    p = 1 (mod 8); then Newton lifting for odd p, one bit at a time for
+    p = 2."""
     if p == 2:
         x = 1
         for j in range(3, k):
@@ -232,15 +241,24 @@ def sqrt_mod_prime_power(n: int, p: int, k: int) -> int:
         return x
     if p % 4 == 3:
         x = pow(n, (p + 1) // 4, p)
+    elif p % 8 == 5:
+        # i = 2 n v^2 is a square root of -1, and (n v (i - 1))^2 = n
+        v = pow(2 * n, (p - 5) // 8, p)
+        x = n * v * (2 * n * v * v - 1) % p
     else:
         q, e = p - 1, 0
         while q % 2 == 0:
             q //= 2
             e += 1
-        z = 2
-        while legendre(z, p) != -1:
+        # least non-residue z, by Euler's criterion; 2 is a square mod p
+        half = (p - 1) // 2
+        z = 3
+        while pow(z, half, p) == 1:
             z += 1
-        m, c, t, x = e, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+        # x = n^((q+1)/2) and t = n^q from one power
+        x = pow(n, (q - 1) // 2, p)
+        t = x * x * n % p
+        m, c, x = e, pow(z, q, p), x * n % p
         while t != 1:
             i, tt = 0, t
             while tt != 1:
@@ -313,18 +331,16 @@ def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
                 e += 1
             powers[p] = e
     if n > 1:
-        if n < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(n):
-            # any remaining cofactor below the square of the trial bound is prime
-            powers[n] = powers.get(n, 0) + 1
-        else:
-            _split_cofactor(n, powers)
+        _split_cofactor(n, powers)
     return sign, sorted(powers.items())
 
 
 def _split_cofactor(n: int, powers: dict) -> None:
-    # n is composite with no prime factor below the trial bound, so every
-    # divisor of it below the square of that bound is prime
-    rng = random.Random(n)
+    """Add the prime factorization of the cofactor n > 1 to powers. Every
+    divisor of n above 1 and below 2^32 must be prime: so it is when n has
+    no prime factor below the trial bound, or when n < (L + 1)^2 has none
+    up to some L. Raises ValueError as _find_factor does."""
+    rng = None
     stack = [(n, 1)]
     while stack:
         m, e = stack.pop()
@@ -335,6 +351,8 @@ def _split_cofactor(n: int, powers: dict) -> None:
         if root is not None:
             stack.append((root[0], e * root[1]))
             continue
+        if rng is None:
+            rng = random.Random(n)
         d = _find_factor(m, rng)
         stack.append((d, e))
         stack.append((m // d, e))

@@ -40,7 +40,8 @@ from functools import partial
 from typing import Optional
 
 from .arith import (_require_prime, as_minus_3_square, factorize, legendre,
-                    require_nonzero_int, sqrt_mod_prime_power, valuation)
+                    require_nonzero_int, require_positive_int,
+                    sqrt_mod_prime_power, valuation)
 from .constancy import (_condition, check_f, check_f_table1, check_l_lemma,
                         require_progression)
 from .families import is_singular
@@ -155,12 +156,14 @@ def falsify_constancy(s: int, a: int, b: int, budget: int = 1000) -> Optional[tu
     """Search for two fibres on t = a*u + b with opposite root number.
 
     Scans u outward from 0 (skipping singular fibres), then walks the
-    per-prime probe sets.  Returns ((u1, W1), (u2, W2)) for the first
-    opposing pair found, or None if the budget is exhausted.  A fibre
-    whose t^2 - s cannot be factored raises ValueError.
+    per-prime probe sets, at most budget u values in each phase.  Returns
+    ((u1, W1), (u2, W2)) for the first opposing pair found, or None if the
+    budget is exhausted.  budget is a positive int.  A fibre whose
+    t^2 - s cannot be factored raises ValueError.
     """
     require_nonzero_int("s", s)
     require_progression(a, b)
+    require_positive_int("budget", budget)
 
     def scan_then_probes():
         scanned = set()

@@ -24,7 +24,7 @@ from .audit import (FeatureDisabled, classical_cross_check, falsify_constancy,
 from .constancy import check_f, check_f_table1
 from .families import is_singular, l_to_f
 from .rank_jump import rank_jump_report
-from .root_number import breakdown_f
+from .root_number import breakdown_f, window_breakdowns
 
 EXIT_OK = 0
 EXIT_NONCONSTANT = 1
@@ -134,16 +134,6 @@ def cmd_check(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_record(job) -> dict:
-    s, a, b, u = job
-    t = a * u + b
-    if is_singular(s, t):
-        return {"u": u, "t": t, "singular": True, "W": None, "factors": {}}
-    bd = breakdown_f(s, t)
-    return {"u": u, "t": t, "singular": False, "W": bd.w,
-            "factors": dict(bd.factors)}
-
-
 def cmd_scan(args) -> int:
     require_nonzero_int("s", args.s)
     require_nonzero_int("a", args.a)
@@ -151,17 +141,26 @@ def cmd_scan(args) -> int:
         raise ValueError("--u-min must not exceed --u-max")
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    work = [(args.s, args.a, args.b, u)
-            for u in range(args.u_min, args.u_max + 1)]
-    if args.jobs == 1 or len(work) < 2:
-        rows = [_scan_record(job) for job in work]
+    us = range(args.u_min, args.u_max + 1)
+    if args.jobs == 1 or len(us) < 2:
+        fibres = window_breakdowns(args.s, args.a, args.b, args.u_min, args.u_max)
     else:
         # imported here: the process pool costs about 15 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
-        # ordered map keeps the output byte-identical for any job count
-        chunk = max(1, len(work) // (4 * args.jobs))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_scan_record, work, chunksize=chunk))
+        # one contiguous sub-window per worker, each sieved on its own;
+        # the ordered map keeps the output byte-identical for any job count
+        cuts = [args.u_min + len(us) * i // args.jobs
+                for i in range(args.jobs + 1)]
+        n = args.jobs
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            fibres = [bd for part in pool.map(
+                window_breakdowns, [args.s] * n, [args.a] * n, [args.b] * n,
+                cuts[:-1], [c - 1 for c in cuts[1:]]) for bd in part]
+    rows = [{"u": u, "t": args.a * u + args.b, "singular": True, "W": None,
+             "factors": {}} if bd is None else
+            {"u": u, "t": bd.t, "singular": False, "W": bd.w,
+             "factors": bd.factors}
+            for u, bd in zip(us, fibres)]
     plus = sum(1 for r in rows if r["W"] == 1)
     minus = sum(1 for r in rows if r["W"] == -1)
     singular = sum(1 for r in rows if r["singular"])

@@ -205,6 +205,19 @@ def test_is_prime_cache_is_bounded():
     assert is_prime.cache_info().currsize <= limit
 
 
+def test_sqrt_mod_prime_power_every_small_prime():
+    # each branch mod p (p = 3 mod 4, Atkin's p = 5 mod 8, Tonelli-Shanks
+    # at p = 1 mod 8) and the lifts to p^2 and p^3, for every prime below
+    # 2^12 and every square n < min(p, 64) prime to p
+    for p in filter(is_prime, range(1 << 12)):
+        for n in range(1, min(p, 64)):
+            if p > 2 and legendre(n, p) != 1:
+                continue
+            for k in (1, 2, 3):
+                x = sqrt_mod_prime_power(n, p, k)
+                assert (x * x - n) % p**k == 0, (n, p, k)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_sqrt_mod_prime_power(p):
     # every unit square mod p^k up to p^k = 1024; above that every unit

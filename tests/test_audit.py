@@ -65,6 +65,15 @@ def test_falsify_validation():
         falsify_constancy(-3, 1, 0, 10)
 
 
+@pytest.mark.parametrize("budget", [0, -1, True, 1.0, 2.5, "200", None])
+def test_falsify_rejects_a_budget_that_is_not_a_positive_int(budget):
+    # unchecked, a budget of -1 walks every probe but the last: 2068
+    # fibres on t = 6000u + 60, where budget=1 computes 2
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
+        falsify_constancy(-7500, 6000, 60, budget)
+    assert falsify_constancy(-7500, 6000, 60, 1) is None
+
+
 # ---------------------------------------------------------------------------
 # probe_set: the probes must see every sign the progression can produce
 # ---------------------------------------------------------------------------

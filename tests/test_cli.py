@@ -7,6 +7,7 @@ first on its PYTHONPATH.  One test checks the installed `rootno` console
 script against that route, and skips where no such script is on PATH.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -256,6 +257,49 @@ def test_scan_jobs_do_not_change_the_bytes():
     parallel = run_cli(*argv, "--jobs", "3")
     assert serial.returncode == parallel.returncode == 0
     assert serial.stdout == parallel.stdout
+
+
+# sha256 of stdout, pinned when every row went through breakdown_f: the
+# window sieve must print the same bytes
+_SCAN_GOLDEN = {
+    ("-972", "12", "589318", "499", ""):
+        "7f47509e79bac840ea0bad7d821fed8b4569d3b103ba7c0efd4640227e8bc007",
+    ("-972", "12", "589318", "499", "--json"):
+        "7cbe3820061b5fbdae164ea2d3084ce22d2a692bf176446da2ee0fa65ba08cef",
+    ("-972", "12", "589318", "499", "--csv"):
+        "55f4c40f2244b3561a40696b0ceca0320e11ca5b14dd7f8d6b06f2c980d6c7d8",
+    # two singular rows, t = +-2
+    ("4", "1", "-300", "599", ""):
+        "2333843cc46eb32b5ee039db34fda29c6a78e8c07c93fab6787d5cf8db16547b",
+    ("4", "1", "-300", "599", "--json"):
+        "106b05963e5ef37b5ef86062d2b1ad1c0e8e0f6de5cdd0965c948499a342b50e",
+    ("4", "1", "-300", "599", "--csv"):
+        "8cac8d6859300cacfce6bf77a4dff6d056c212180b4ff60b4f9f4d0f544c3f6c",
+}
+
+
+@pytest.mark.parametrize("window", sorted(_SCAN_GOLDEN))
+def test_scan_window_bytes_are_pinned(window):
+    s, a, b, u_max, fmt = window
+    r = run_cli("scan", "--s", s, "--a", a, "--b", b, "--u-min", "0",
+                "--u-max", u_max, *filter(None, [fmt]))
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == _SCAN_GOLDEN[window]
+
+
+def test_scan_refuses_a_huge_cofactor_at_its_first_row():
+    # t = b + u with |t| ~ 2^143: at u = 0, t^2 + 3 is a small-prime part
+    # times a 273-bit prime; at u = 1 it leaves a 284-bit composite, which
+    # is refused before rho or ECM starts, and nothing reaches stdout
+    argv = ("scan", "--s", "-3", "--a", "1",
+            "--b", "8727963568087712425891397479476727340041450",
+            "--u-min", "0", "--u-max", "199")
+    for jobs in ("1", "2"):
+        r = run_cli(*argv, "--jobs", jobs)
+        assert r.returncode == 64
+        assert r.stdout == ""
+        assert r.stderr == ("rootno: error: refusing to split a 284-bit "
+                            "composite cofactor: the limit is 256 bits\n")
 
 
 def test_scan_usage_errors():

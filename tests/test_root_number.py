@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rootno import root_number
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import w_star
 from rootno.root_number import (
@@ -13,6 +16,7 @@ from rootno.root_number import (
     factor_base,
     root_number_f,
     root_number_l,
+    window_breakdowns,
 )
 
 
@@ -132,3 +136,77 @@ def test_singular_inputs_rejected():
                  (-972, 12, 18, 2.5), (-972, 12, 18, -1), (-972, 12, 18, True)]:
         with pytest.raises(ValueError):
             average_root_number_window(*args)
+
+
+# ---------------------------------------------------------------------------
+# window_breakdowns: the sieve against breakdown_f, row by row
+# ---------------------------------------------------------------------------
+
+# primes just above 2^16, so t^2 - s = P*Q leaves a cofactor that no sieve
+# prime divides and that only the cofactor split resolves
+_ABOVE_TRIAL_BOUND = (65537, 65539, 65543, 65551, 1048583)
+
+
+@st.composite
+def _windows(draw):
+    a = draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 40)) \
+        * draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 25, 49, 12, 30]))
+    b = draw(st.one_of(st.integers(-300, 300),
+                       st.integers(-10**9, 10**9)))
+    u_min = draw(st.integers(-300, 300))
+    rows = draw(st.integers(1, 40))
+    sign = draw(st.sampled_from([-1, 1]))
+    kind = draw(st.sampled_from(["any", "square", "prime power", "P*Q"]))
+    if kind == "any":
+        s = sign * draw(st.integers(1, 10 ** draw(st.integers(1, 12))))
+    elif kind == "square":
+        # a square s that one row of the window, or none, makes singular
+        row = draw(st.integers(0, rows))
+        s = (a * (u_min + row) + b) ** 2 or 1
+    elif kind == "prime power":
+        s = sign * draw(st.sampled_from([2, 3, 5, 7, 13])) \
+            ** draw(st.integers(1, 9)) * draw(st.integers(1, 200))
+    else:
+        t = a * u_min + b
+        s = t * t - draw(st.sampled_from(_ABOVE_TRIAL_BOUND)) \
+            * draw(st.sampled_from(_ABOVE_TRIAL_BOUND))
+    return s or 1, a, b, u_min, u_min + rows - 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(_windows())
+def test_window_sieve_matches_breakdown_f(window):
+    s, a, b, u_min, u_max = window
+    with pytest.MonkeyPatch.context() as mp:
+        # short windows too take the sieve, not the per-fibre route
+        mp.setattr(root_number, "_SIEVE_ROWS", 0)
+        got = window_breakdowns(s, a, b, u_min, u_max)
+    assert len(got) == u_max - u_min + 1
+    for u, bd in zip(range(u_min, u_max + 1), got):
+        t = a * u + b
+        if is_singular(s, t):
+            assert bd is None, (s, t)
+            continue
+        want = breakdown_f(s, t)
+        assert bd == want, (s, t)
+        # ascending keys, as the scan's JSON prints them
+        assert list(bd.factors) == list(want.factors)
+
+
+def test_window_routes_agree_around_the_row_threshold():
+    # 127 rows go fibre by fibre, 128 through the sieve; both equal
+    # breakdown_f, including the singular rows of s = 4 at t = +-2
+    for rows in (root_number._SIEVE_ROWS - 1, root_number._SIEVE_ROWS):
+        got = window_breakdowns(4, 1, -60, 0, rows - 1)
+        assert got == [None if is_singular(4, t) else breakdown_f(4, t)
+                       for t in range(-60, rows - 60)]
+        assert got.count(None) == 2
+
+
+def test_window_validation_and_empty_window():
+    assert window_breakdowns(-972, 12, 18, 5, 4) == []
+    for args in [(0, 12, 18, 0, 1), (-972, 0, 18, 0, 1), (-972, True, 18, 0, 1),
+                 (-972, 12, 18.0, 0, 1), (-972, 12, 18, 0.0, 1),
+                 (-972, 12, 18, 0, "1")]:
+        with pytest.raises(ValueError):
+            window_breakdowns(*args)
