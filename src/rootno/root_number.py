@@ -5,6 +5,12 @@ every other prime the local sign is +1, so the finite product is the whole
 story. Twisted fibres (w, s, v; t) reduce to F-parameters first and must
 land on integers.
 
+Only the primes of 6 s go through the tables (``w_star``). At any other
+prime p of the factor base, p divides t^2 - s but not s, so nu(s) = nu(t)
+= 0 and T3 is read at k = 0, nu(t) = 0 mod 6: w_p* = (-3/p) when
+e = nu_p(t^2 - s) is 2 or 4 mod 6, else +1. So the sign there is read off
+the exponent e, which factoring t^2 - s gives anyway.
+
 A window of fibres t = a u + b is factored by a sieve instead of fibre by
 fibre (``window_breakdowns``): p divides (a u + b)^2 - s exactly when
 a u + b is a square root of s mod p, so the rows each prime divides form
@@ -38,27 +44,48 @@ class Breakdown:
     factors: dict[int, Sign]  # keyed by the factor-base primes, ascending
 
 
-def factor_base(s: int, t: int) -> list[int]:
-    """Ascending primes dividing 6 s (t^2 - s); rejects singular fibres."""
-    if is_singular(s, t):
-        raise ValueError(f"fibre (s={s}, t={t}) is singular")
+def _s_primes(s: int) -> set[int]:
+    """The primes of 6 s."""
     primes = {2, 3}
     primes.update(p for p, _ in factorize(s)[1])
-    primes.update(p for p, _ in factorize(t * t - s)[1])
-    return sorted(primes)
+    return primes
 
 
-def _breakdown(s: int, t: int, base: list[int]) -> Breakdown:
-    """The Breakdown of the fibre (s, t) whose factor base is base."""
-    factors = {p: w_star(p, s, t) for p in base}
+def _factored(s: int, t: int) -> tuple[set[int], dict[int, int]]:
+    """The primes of 6 s and the exponent map of t^2 - s; rejects singular
+    fibres."""
+    if is_singular(s, t):
+        raise ValueError(f"fibre (s={s}, t={t}) is singular")
+    return _s_primes(s), dict(factorize(t * t - s)[1])
+
+
+def factor_base(s: int, t: int) -> list[int]:
+    """Ascending primes dividing 6 s (t^2 - s); rejects singular fibres."""
+    s_primes, powers = _factored(s, t)
+    return sorted(s_primes.union(powers))
+
+
+def _breakdown(s: int, t: int, s_primes: set[int],
+               powers: dict[int, int]) -> Breakdown:
+    """The Breakdown of the fibre (s, t), given the primes of 6 s and the
+    exponent map of t^2 - s. The tables give the sign at the primes of 6 s;
+    at any other prime p the sign is T3's at nu(s) = nu(t) = 0, which is -1
+    exactly when nu_p(t^2 - s) is 2 or 4 mod 6 and (-3/p) = -1, that is
+    p = 2 mod 3."""
+    factors = {}
     w = -1
-    for sign in factors.values():
+    for p in sorted(s_primes.union(powers)):
+        if p in s_primes:
+            sign = w_star(p, s, t)
+        else:
+            sign = -1 if powers[p] % 6 in (2, 4) and p % 3 == 2 else 1
+        factors[p] = sign
         w *= sign
     return Breakdown(s, t, w, factors)
 
 
 def breakdown_f(s: int, t: int) -> Breakdown:
-    return _breakdown(s, t, factor_base(s, t))
+    return _breakdown(s, t, *_factored(s, t))
 
 
 def root_number_f(s: int, t: int) -> Sign:
@@ -111,8 +138,7 @@ def window_breakdowns(s: int, a: int, b: int, u_min: int,
     ts = [a * u + b for u in range(u_min, u_max + 1)]
     if len(ts) < _SIEVE_ROWS:
         return [None if is_singular(s, t) else breakdown_f(s, t) for t in ts]
-    s_primes = {2, 3}
-    s_primes.update(p for p, _ in factorize(s)[1])
+    s_primes = _s_primes(s)
     rest = [abs(t * t - s) for t in ts]
     # Below 2^16 the bound leaves every cofactor 1 or a prime: two primes
     # above it multiply past max(rest). At 2^16 a cofactor is what
@@ -143,14 +169,17 @@ def window_breakdowns(s: int, a: int, b: int, u_min: int,
         if m == 0:
             out.append(None)
             continue
+        powers: dict[int, int] = {}
         for p in primes:
             m //= p
+            e = 1
             while m % p == 0:
                 m //= p
-        powers: dict[int, int] = {}
+                e += 1
+            powers[p] = e
         if m > 1:
             _split_cofactor(m, powers)
-        out.append(_breakdown(s, t, sorted(s_primes.union(primes, powers))))
+        out.append(_breakdown(s, t, s_primes, powers))
     return out
 
 

@@ -197,6 +197,51 @@ def test_is_prime_matches_trial_division_below_2_16():
     assert not is_prime(65536) and is_prime(65537)
 
 
+# the 12 prime bases that decide every n below 2^64
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# the smallest strong pseudoprime to each prefix 2, 3, ..., q of _BASES
+# (q = 3, 5, 7, 11, 13, 17, 23), keyed to the prefix length: each is the
+# bound below which that prefix decides primality
+_STRONG_PSEUDOPRIMES = {
+    1373653: 2,
+    25326001: 3,
+    3215031751: 4,
+    2152302898747: 5,
+    3474749660383: 6,
+    341550071728321: 7,
+    3825123056546413051: 9,
+}
+
+
+def test_is_prime_base_prefixes_stop_below_their_pseudoprime():
+    for n, k in _STRONG_PSEUDOPRIMES.items():
+        assert all(n % p for p in _BASES), n
+        # fools its prefix, so the next prefix must take over at n
+        assert arith._miller_rabin(n, _BASES[:k]), n
+        assert not arith._miller_rabin(n, _BASES), n
+        assert not is_prime.__wrapped__(n), n
+        for m in (n - 2, n + 2):
+            assert is_prime.__wrapped__(m) == arith._miller_rabin(m, _BASES), m
+
+
+def test_is_prime_matches_twelve_bases_below_2_64():
+    # odd n with no prime factor up to 37, so Miller-Rabin runs, at bit
+    # lengths 17..64
+    rng = random.Random(6464)
+    primes = 0
+    for _ in range(10**4):
+        n = rng.getrandbits(rng.randint(17, 64)) | (1 << 16) | 1
+        while any(n % p == 0 for p in _BASES):
+            n += 2
+        if n >= 1 << 64:
+            continue
+        want = arith._miller_rabin(n, _BASES)
+        assert is_prime.__wrapped__(n) == want, n
+        primes += want
+    assert primes > 500
+
+
 def test_is_prime_cache_is_bounded():
     limit = is_prime.cache_info().maxsize
     assert limit is not None

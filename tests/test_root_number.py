@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootno import root_number
+from rootno.arith import factorize, legendre, sqrt_mod_prime_power, valuation
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import w_star
 from rootno.root_number import (
@@ -116,6 +117,65 @@ def test_extra_primes_do_not_change_product():
                 assert w_star(q, s, t) == 1
 
 
+# ---------------------------------------------------------------------------
+# the T3 reading at primes off 6s: the sign from the exponent of t^2 - s
+# ---------------------------------------------------------------------------
+
+def _off_6s_sign(p, e):
+    # T3 at nu(s) = nu(t) = 0: (-3/p) when nu(t^2 - s) = 2, 4 mod 6, else +1
+    return legendre(-3, p) if e % 6 in (2, 4) else 1
+
+
+def test_off_6s_sign_is_read_from_the_exponent():
+    # every prime 5 <= p < 200 (both classes of (-3/p)), s of both signs
+    # that are squares mod p, and t = r + p^e for a root r of s mod p^(e+1),
+    # so that nu_p(t^2 - s) = e exactly
+    primes = [p for p in range(5, 200) if factorize(p)[1] == [(p, 1)]]
+    classes = set()
+    for p in primes:
+        ss = [s for s in (-3, -12, -972, -588, 1, -1, 2, -2, 7, 1 - 2 * p)
+              if s % p and legendre(s, p) == 1]
+        assert any(s < 0 for s in ss) and any(s > 0 for s in ss), p
+        for s in ss:
+            classes.add(legendre(-3, p))
+            s_primes = root_number._s_primes(s)
+            for e in range(1, 14):
+                t = sqrt_mod_prime_power(s % p ** (e + 1), p, e + 1) + p ** e
+                assert valuation(p, t * t - s)[0] == e
+                for tt in (t, -t):
+                    want = w_star(p, s, tt)
+                    assert _off_6s_sign(p, e) == want, (p, s, tt, e)
+                    got = root_number._breakdown(s, tt, s_primes, {p: e})
+                    assert got.factors[p] == want, (p, s, tt, e)
+    assert classes == {-1, 1}
+
+
+@st.composite
+def _fibres_near_roots(draw):
+    s = draw(st.sampled_from([-1, 1])) * draw(st.one_of(
+        st.integers(1, 10**6),
+        st.integers(1, 300).map(lambda r: 3 * r * r)))
+    p = draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]))
+    k = draw(st.integers(1, 5))
+    if s % p and legendre(s, p) == 1:
+        # t within a few p^k of a root of s mod p^k: nu_p(t^2 - s) >= k
+        t = sqrt_mod_prime_power(s % p**k, p, k) \
+            + draw(st.integers(-3, 3)) * p**k
+    else:
+        t = draw(st.integers(-10**6, 10**6))
+    return s, draw(st.sampled_from([-1, 1])) * t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fibres_near_roots())
+def test_breakdown_f_equals_w_star_on_the_factor_base(fibre):
+    s, t = fibre
+    if is_singular(s, t):
+        return
+    assert breakdown_f(s, t).factors == {p: w_star(p, s, t)
+                                         for p in factor_base(s, t)}
+
+
 def test_window_skips_singular_fibres():
     # s = 4, t = u: singular at u = +-2, average over the other fibres
     avg = average_root_number_window(4, 1, 0, 3)
@@ -176,6 +236,8 @@ def _windows(draw):
 @settings(max_examples=120, deadline=None)
 @given(_windows())
 def test_window_sieve_matches_breakdown_f(window):
+    # both routes read their signs in _breakdown, so this holds the sieve's
+    # primes and exponents to factorize's, row by row
     s, a, b, u_min, u_max = window
     with pytest.MonkeyPatch.context() as mp:
         # short windows too take the sieve, not the per-fibre route
@@ -191,6 +253,24 @@ def test_window_sieve_matches_breakdown_f(window):
         assert bd == want, (s, t)
         # ascending keys, as the scan's JSON prints them
         assert list(bd.factors) == list(want.factors)
+
+
+def test_window_sieve_counts_exponents_at_deep_rows():
+    # b is a root of s mod p^12 and a = p^2, so nu_p(t^2 - s) = 2 + nu_p(u):
+    # the rows take exponents 2..5 at a prime where (-3/p) = -1, and the
+    # sign at p flips with the exponent mod 6
+    seen = set()
+    for p, s in ((5, -1), (11, 3), (17, -1), (17, 2)):
+        a = p * p
+        b = sqrt_mod_prime_power(s % p**12, p, 12)
+        got = window_breakdowns(s, a, b, 1, root_number._SIEVE_ROWS)
+        for u, bd in zip(range(1, root_number._SIEVE_ROWS + 1), got):
+            t = a * u + b
+            e = valuation(p, t * t - s)[0]
+            seen.add(e)
+            assert bd == breakdown_f(s, t), (p, s, t)
+            assert bd.factors[p] == w_star(p, s, t) == _off_6s_sign(p, e)
+    assert seen == {2, 3, 4, 5}
 
 
 def test_window_routes_agree_around_the_row_threshold():
