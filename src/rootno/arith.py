@@ -18,9 +18,9 @@ from typing import Optional, Union
 
 Number = Union[int, Fraction]
 
-# Trial-division cutoff before handing composites to Brent's rho. Factors
-# below this bound are found by sieved trial division; 2^16 keeps the worst
-# case around 6.5k divisions per call.
+# Trial-division cutoff before handing composites to Brent's rho. factorize
+# strips the 6542 primes below it with one division for each of the 54
+# below 2^8 and one gcd for each block of the rest, 51 gcds at most.
 _TRIAL_BOUND = 1 << 16
 
 
@@ -34,9 +34,20 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-# is_prime reads n < 2^16 from the flags; trial division walks the list
+# is_prime reads n < 2^16 from the flags; factorize and the window sieve
+# walk the list
 _SMALL_FLAGS = _prime_flags(_TRIAL_BOUND)
 _SMALL_PRIMES = list(itertools.compress(range(_TRIAL_BOUND + 1), _SMALL_FLAGS))
+
+# factorize divides by the primes below 2^8 one at a time: nearly every n
+# has one of them, and small n stop among them. The primes above come in
+# blocks of _GCD_BLOCK consecutive primes with their products, so that one
+# gcd tells which primes of a block divide n.
+_GCD_BLOCK = 128
+_HEAD_PRIMES = _SMALL_PRIMES[:_SMALL_FLAGS[:1 << 8].count(1)]
+_BLOCKS = [(block, math.prod(block)) for block in (
+    _SMALL_PRIMES[i:i + _GCD_BLOCK]
+    for i in range(len(_HEAD_PRIMES), len(_SMALL_PRIMES), _GCD_BLOCK))]
 
 
 # --------------------------------------------------------------- primality
@@ -192,11 +203,15 @@ def legendre(a: int, p: int) -> int:
     _require_prime(p)
     if p == 2:
         raise ValueError("legendre needs an odd prime modulus, got 2")
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    # legendre for an odd prime p that the caller has already checked
     a %= p
     if a == 0:
         return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def jacobi(a: int, n: int) -> int:
@@ -326,7 +341,14 @@ def _brent_rho(n: int, rng: random.Random, limit: int) -> int:
 
 
 def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """(sign, [(p, e), ...]) with n = sign * prod(p**e), pairs sorted by p."""
+    """(sign, [(p, e), ...]) with n = sign * prod(p**e), pairs sorted by p.
+
+    The primes below 2^8 are tried one by one, the rest below the trial
+    bound a block at a time, by the gcd of n with the block's product. Either
+    stage stops at the first prime, or first prime of a block, whose square
+    exceeds what is left of n; what is left then has no prime factor below
+    that point and goes to _split_cofactor.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1
@@ -334,15 +356,24 @@ def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
         sign = -1
         n = -n
     powers: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _HEAD_PRIMES:
         if p * p > n:
             break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            powers[p] = e
+            powers[p], n = _int_valuation(p, n)
+    else:
+        for block, product in _BLOCKS:
+            if block[0] * block[0] > n:
+                break
+            g = math.gcd(product, n)
+            if g == 1:
+                continue
+            for p in block:
+                if g % p == 0:
+                    powers[p], n = _int_valuation(p, n)
+                    g //= p
+                    if g == 1:
+                        break
     if n > 1:
         _split_cofactor(n, powers)
     return sign, sorted(powers.items())

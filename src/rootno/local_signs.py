@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from rootno.arith import legendre, valuation, valuation_or_inf
+from rootno.arith import _int_valuation, _legendre, _require_prime
 from rootno.families import is_singular
 
 Sign = int
@@ -62,14 +62,16 @@ class LocalProfile:
     __slots__ = ("p", "nu_s", "s_u", "nu_t", "t_u", "nu_d", "d_u")
 
     def __init__(self, p: int, s: int, t: int):
+        _require_prime(p)
         if is_singular(s, t):
             raise ValueError(f"fibre (s={s}, t={t}) is singular")
         self.p = p
-        self.nu_s, self.s_u = valuation(p, s)
-        self.nu_t, self.t_u = valuation_or_inf(p, t)
-        if self.t_u == 0:
-            self.t_u = None
-        self.nu_d, self.d_u = valuation(p, t * t - s)
+        self.nu_s, self.s_u = _int_valuation(p, s)
+        if t == 0:
+            self.nu_t, self.t_u = INF, None
+        else:
+            self.nu_t, self.t_u = _int_valuation(p, t)
+        self.nu_d, self.d_u = _int_valuation(p, t * t - s)
 
     # key columns
     @property
@@ -88,7 +90,8 @@ class LocalProfile:
         return self.nu_d - 2 * self.nu_t
 
     def leg(self, a: int) -> Sign:
-        return legendre(a, self.p)
+        # only the tables at odd p read a Legendre symbol
+        return _legendre(a, self.p)
 
 
 def _sgn4(x: int) -> Sign:

@@ -115,10 +115,13 @@ def root_number_l(w: Number, s: Number, v: Number, t: Number) -> Sign:
 
 
 # Below this many rows a window is factored fibre by fibre. The sieve's
-# set-up costs an Euler test per prime up to 2^16 and a square root for
-# every other one; on 2 cores it overtakes trial division between 64 and
-# 96 rows at |t| ~ 1e6 and between 32 and 64 rows at |t| ~ 1e3.
-_SIEVE_ROWS = 128
+# set-up costs an Euler test per prime up to its bound (about |t|, at most
+# 2^16) and a square root for every other one, while factorize strips the
+# primes below 2^16 with one gcd per block. On 2 cores the two tie near 512
+# rows at |t| ~ 1e6, trial division still leads at 768 rows at |t| ~ 1e5,
+# and the sieve leads by up to 1.4x from about 128 rows at |t| ~ 1e3, where
+# a window of 512 rows takes under 20 ms either way.
+_SIEVE_ROWS = 512
 
 
 def window_breakdowns(s: int, a: int, b: int, u_min: int,

@@ -346,6 +346,96 @@ def test_factorize_powers_of_large_primes():
     assert factorize(2**5 * 65537**4 * q**3) == (1, [(2, 5), (65537, 4), (q, 3)])
 
 
+# --------------------------------------------- factorize's small-prime stage
+
+def _primes_below(limit):
+    flags = [True] * limit
+    flags[:2] = [False, False]
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(flags[i * i :: i])
+    return [i for i in range(limit) if flags[i]]
+
+
+_PRIMES_BELOW_2_17 = _primes_below(1 << 17)
+_PRIMES_BELOW_2_16 = [p for p in _PRIMES_BELOW_2_17 if p < 1 << 16]
+
+
+def _trial_division(n):
+    """The factor pairs of n >= 1, dividing by each prime below 2^17 in
+    turn. Exact when at most one prime factor of n, counted with
+    multiplicity, is 2^17 or above: whatever is left is 1 or that prime."""
+    pairs = []
+    for p in _PRIMES_BELOW_2_17:
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
+def test_factorize_blocks_cover_the_primes_below_2_16():
+    assert arith._HEAD_PRIMES == [p for p in _PRIMES_BELOW_2_16 if p < 1 << 8]
+    walked = list(arith._HEAD_PRIMES)
+    for block, product in arith._BLOCKS:
+        assert product == math.prod(block)
+        walked += block
+    assert walked == _PRIMES_BELOW_2_16
+
+
+def test_factorize_matches_trial_division_below_2_17():
+    for n in range(1, 1 << 17):
+        assert factorize(n) == (1, _trial_division(n)), n
+
+
+def test_factorize_at_block_boundaries():
+    # the stage stops at the first block whose first prime squared exceeds
+    # what is left of n: around that square, and around the product of a
+    # block's two ends, each block is found or skipped whole
+    for block, _ in arith._BLOCKS:
+        first, last = block[0], block[-1]
+        for m in (first * first, first * last):
+            for n in (m - 1, m, m + 1):
+                assert factorize(n) == (1, _trial_division(n)), n
+    # the largest prime below 2^16 against the smallest above it
+    for n in [65521 * 65537, 65537**2] + [65521**e for e in range(1, 6)]:
+        assert factorize(n) == (1, _trial_division(n)), n
+
+
+# the prime ends of every block, and of the run of primes tried one by one
+_BLOCK_ENDS = sorted({arith._HEAD_PRIMES[0], arith._HEAD_PRIMES[-1]}.union(
+    *({block[0], block[-1]} for block, _ in arith._BLOCKS)))
+
+# the primes of a tail above the trial bound: none, one prime, or a
+# semiprime above 2^32
+_TAILS = [(), (65537,), (2147483647,), (4294967311,), (65537, 65539),
+          (1000003, 1000003), (2147483647, 4294967311)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(st.sampled_from(_BLOCK_ENDS),
+                                 st.sampled_from(_PRIMES_BELOW_2_16)),
+                       st.integers(min_value=1, max_value=3)),
+             max_size=6),
+    st.sampled_from(_TAILS),
+)
+def test_factorize_smooth_part_times_a_tail(powers, tail):
+    smooth = 1
+    for p, e in powers:
+        smooth *= p**e
+    expected = dict(_trial_division(smooth))
+    for q in tail:
+        expected[q] = expected.get(q, 0) + 1
+    assert factorize(smooth * math.prod(tail)) == (1, sorted(expected.items()))
+
+
 def test_factorize_round_trip_random():
     rng = random.Random(5577)
     for _ in range(200):

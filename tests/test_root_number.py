@@ -260,11 +260,15 @@ def test_window_sieve_counts_exponents_at_deep_rows():
     # the rows take exponents 2..5 at a prime where (-3/p) = -1, and the
     # sign at p flips with the exponent mod 6
     seen = set()
+    rows = 128
     for p, s in ((5, -1), (11, 3), (17, -1), (17, 2)):
         a = p * p
         b = sqrt_mod_prime_power(s % p**12, p, 12)
-        got = window_breakdowns(s, a, b, 1, root_number._SIEVE_ROWS)
-        for u, bd in zip(range(1, root_number._SIEVE_ROWS + 1), got):
+        with pytest.MonkeyPatch.context() as mp:
+            # a window this short takes the sieve too
+            mp.setattr(root_number, "_SIEVE_ROWS", 0)
+            got = window_breakdowns(s, a, b, 1, rows)
+        for u, bd in zip(range(1, rows + 1), got):
             t = a * u + b
             e = valuation(p, t * t - s)[0]
             seen.add(e)
@@ -274,8 +278,9 @@ def test_window_sieve_counts_exponents_at_deep_rows():
 
 
 def test_window_routes_agree_around_the_row_threshold():
-    # 127 rows go fibre by fibre, 128 through the sieve; both equal
-    # breakdown_f, including the singular rows of s = 4 at t = +-2
+    # a window one row short of the threshold goes fibre by fibre, one at
+    # it through the sieve; both equal breakdown_f, including the singular
+    # rows of s = 4 at t = +-2
     for rows in (root_number._SIEVE_ROWS - 1, root_number._SIEVE_ROWS):
         got = window_breakdowns(4, 1, -60, 0, rows - 1)
         assert got == [None if is_singular(4, t) else breakdown_f(4, t)
