@@ -15,10 +15,11 @@ oracle data: every ValueError reaches ``main``, which prints it.
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
-from .arith import as_minus_3_square, require_nonzero_int
+from .arith import as_minus_3_square, require_nonzero_int, require_positive_int
 from .audit import (FeatureDisabled, classical_cross_check, falsify_constancy,
                     ledger_json, run_paper_examples)
 from .constancy import check_f, check_f_table1
@@ -139,19 +140,18 @@ def cmd_scan(args) -> int:
     require_nonzero_int("a", args.a)
     if args.u_min > args.u_max:
         raise ValueError("--u-min must not exceed --u-max")
-    if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    require_positive_int("--jobs", args.jobs)
     us = range(args.u_min, args.u_max + 1)
-    if args.jobs == 1 or len(us) < 2:
+    # a fork pool starts every worker at once: none beyond the rows or CPUs
+    n = min(args.jobs, len(us), os.cpu_count() or 1)
+    if n == 1:
         fibres = window_breakdowns(args.s, args.a, args.b, args.u_min, args.u_max)
     else:
         # imported here: the process pool costs about 15 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
-        # one contiguous sub-window per worker, each sieved on its own;
+        # one contiguous sub-window per worker, each factored on its own;
         # the ordered map keeps the output byte-identical for any job count
-        cuts = [args.u_min + len(us) * i // args.jobs
-                for i in range(args.jobs + 1)]
-        n = args.jobs
+        cuts = [args.u_min + len(us) * i // n for i in range(n + 1)]
         with ProcessPoolExecutor(max_workers=n) as pool:
             fibres = [bd for part in pool.map(
                 window_breakdowns, [args.s] * n, [args.a] * n, [args.b] * n,
@@ -225,8 +225,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.a_max < 1 or args.b_max < 1:
-        raise ValueError("--a-max and --b-max must be >= 1")
+    require_nonzero_int("s", args.s)
+    require_positive_int("--a-max", args.a_max)
+    require_positive_int("--b-max", args.b_max)
     for a in range(1, args.a_max + 1):
         for b in range(1, args.b_max + 1):
             verdict = check_f(args.s, a, b)

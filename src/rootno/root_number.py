@@ -11,22 +11,16 @@ prime p of the factor base, p divides t^2 - s but not s, so nu(s) = nu(t)
 e = nu_p(t^2 - s) is 2 or 4 mod 6, else +1. So the sign there is read off
 the exponent e, which factoring t^2 - s gives anyway.
 
-A window of fibres t = a u + b is factored by a sieve instead of fibre by
-fibre (``window_breakdowns``): p divides (a u + b)^2 - s exactly when
-a u + b is a square root of s mod p, so the rows each prime divides form
-at most two residue classes of u.
+A window of fibres t = a u + b takes its rows from arith.factorize_window.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from rootno.arith import (_SMALL_PRIMES, _TRIAL_BOUND, _split_cofactor,
-                          factorize, require_nonzero_int, sqrt_mod_prime_power)
+from rootno.arith import factorize, factorize_window, require_nonzero_int
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import w_star
 
@@ -114,16 +108,6 @@ def root_number_l(w: Number, s: Number, v: Number, t: Number) -> Sign:
     return breakdown_l(w, s, v, t).w
 
 
-# Below this many rows a window is factored fibre by fibre. The sieve's
-# set-up costs an Euler test per prime up to its bound (about |t|, at most
-# 2^16) and a square root for every other one, while factorize strips the
-# primes below 2^16 with one gcd per block. On 2 cores the two tie near 512
-# rows at |t| ~ 1e6, trial division still leads at 768 rows at |t| ~ 1e5,
-# and the sieve leads by up to 1.4x from about 128 rows at |t| ~ 1e3, where
-# a window of 512 rows takes under 20 ms either way.
-_SIEVE_ROWS = 512
-
-
 def window_breakdowns(s: int, a: int, b: int, u_min: int,
                       u_max: int) -> list[Optional[Breakdown]]:
     """breakdown_f(s, a u + b) for u = u_min..u_max, None at each singular
@@ -138,52 +122,10 @@ def window_breakdowns(s: int, a: int, b: int, u_min: int,
     for name, x in (("b", b), ("u_min", u_min), ("u_max", u_max)):
         if type(x) is not int:
             raise ValueError("%s must be an integer" % name)
-    ts = [a * u + b for u in range(u_min, u_max + 1)]
-    if len(ts) < _SIEVE_ROWS:
-        return [None if is_singular(s, t) else breakdown_f(s, t) for t in ts]
     s_primes = _s_primes(s)
-    rest = [abs(t * t - s) for t in ts]
-    # Below 2^16 the bound leaves every cofactor 1 or a prime: two primes
-    # above it multiply past max(rest). At 2^16 a cofactor is what
-    # factorize's trial division leaves, and is settled the same way.
-    bound = min(_TRIAL_BOUND, math.isqrt(max(rest)))
-    hits: list[list[int]] = [[] for _ in ts]
-    for p in _SMALL_PRIMES[:bisect.bisect_right(_SMALL_PRIMES, bound)]:
-        if a % p == 0:
-            # t = b (mod p) on every row
-            if (b * b - s) % p == 0:
-                for primes in hits:
-                    primes.append(p)
-            continue
-        sp = s % p
-        if sp == 0 or p == 2:
-            roots = (sp,)
-        elif pow(sp, (p - 1) // 2, p) != 1:
-            continue
-        else:
-            r = sqrt_mod_prime_power(sp, p, 1)
-            roots = (r, p - r)
-        inv = pow(a, -1, p)
-        for r in roots:
-            for i in range(((r - b) * inv - u_min) % p, len(ts), p):
-                hits[i].append(p)
-    out: list[Optional[Breakdown]] = []
-    for t, m, primes in zip(ts, rest, hits):
-        if m == 0:
-            out.append(None)
-            continue
-        powers: dict[int, int] = {}
-        for p in primes:
-            m //= p
-            e = 1
-            while m % p == 0:
-                m //= p
-                e += 1
-            powers[p] = e
-        if m > 1:
-            _split_cofactor(m, powers)
-        out.append(_breakdown(s, t, s_primes, powers))
-    return out
+    return [None if powers is None else
+            _breakdown(s, a * u + b, s_primes, powers) for u, powers
+            in enumerate(factorize_window(s, a, b, u_min, u_max), u_min)]
 
 
 def average_root_number_window(s: int, a: int, b: int, radius: int) -> Fraction:

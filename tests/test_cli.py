@@ -7,6 +7,7 @@ first on its PYTHONPATH.  One test checks the installed `rootno` console
 script against that route, and skips where no such script is on PATH.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -302,6 +303,35 @@ def test_scan_refuses_a_huge_cofactor_at_its_first_row():
                             "composite cofactor: the limit is 256 bits\n")
 
 
+def test_scan_jobs_are_capped_at_the_rows(monkeypatch, capsys):
+    # in-process with a pool that maps serially, so no worker is started:
+    # --jobs 100000 on a 3-row window asks for at most 3 workers
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    argv = ["scan", "--s", "-972", "--a", "12", "--b", "18",
+            "--u-min", "0", "--u-max", "2"]
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert cli.main(argv + ["--jobs", "100000"]) == 0
+    assert capsys.readouterr().out == serial
+    assert workers == [3]
+
+
 def test_scan_usage_errors():
     assert run_cli("scan", "--s", "-3", "--a", "1", "--b", "1",
                    "--u-min", "5", "--u-max", "2").returncode == 64
@@ -427,6 +457,8 @@ def test_search_streams_constant_pairs():
 
 def test_search_usage():
     assert run_cli("search", "--s", "-3", "--a-max", "0",
+                   "--b-max", "8").returncode == 64
+    assert run_cli("search", "--s", "0", "--a-max", "8",
                    "--b-max", "8").returncode == 64
 
 

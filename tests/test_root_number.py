@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootno import root_number
+from rootno import arith, root_number
 from rootno.arith import factorize, legendre, sqrt_mod_prime_power, valuation
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import w_star
@@ -241,7 +241,7 @@ def test_window_sieve_matches_breakdown_f(window):
     s, a, b, u_min, u_max = window
     with pytest.MonkeyPatch.context() as mp:
         # short windows too take the sieve, not the per-fibre route
-        mp.setattr(root_number, "_SIEVE_ROWS", 0)
+        mp.setattr(arith, "_SIEVE_ROWS", 0)
         got = window_breakdowns(s, a, b, u_min, u_max)
     assert len(got) == u_max - u_min + 1
     for u, bd in zip(range(u_min, u_max + 1), got):
@@ -266,7 +266,7 @@ def test_window_sieve_counts_exponents_at_deep_rows():
         b = sqrt_mod_prime_power(s % p**12, p, 12)
         with pytest.MonkeyPatch.context() as mp:
             # a window this short takes the sieve too
-            mp.setattr(root_number, "_SIEVE_ROWS", 0)
+            mp.setattr(arith, "_SIEVE_ROWS", 0)
             got = window_breakdowns(s, a, b, 1, rows)
         for u, bd in zip(range(1, rows + 1), got):
             t = a * u + b
@@ -281,11 +281,28 @@ def test_window_routes_agree_around_the_row_threshold():
     # a window one row short of the threshold goes fibre by fibre, one at
     # it through the sieve; both equal breakdown_f, including the singular
     # rows of s = 4 at t = +-2
-    for rows in (root_number._SIEVE_ROWS - 1, root_number._SIEVE_ROWS):
+    for rows in (arith._SIEVE_ROWS - 1, arith._SIEVE_ROWS):
         got = window_breakdowns(4, 1, -60, 0, rows - 1)
         assert got == [None if is_singular(4, t) else breakdown_f(4, t)
                        for t in range(-60, rows - 60)]
         assert got.count(None) == 2
+
+
+def test_short_window_factors_s_once(monkeypatch):
+    # a short window factors s once and each row's t^2 - s once, not s
+    # again on every row
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    monkeypatch.setattr(root_number, "factorize", counted)
+    rows = 10
+    got = window_breakdowns(-972, 12, 18, 0, rows - 1)
+    assert len(calls) == rows + 1
+    assert got == [breakdown_f(-972, 12 * u + 18) for u in range(rows)]
 
 
 def test_window_validation_and_empty_window():
