@@ -20,8 +20,7 @@ from typing import Optional, Union
 Number = Union[int, Fraction]
 
 # Trial-division cutoff before handing composites to Brent's rho. factorize
-# strips the 6542 primes below it with one division for each of the 54
-# below 2^8 and one gcd for each block of the rest, 51 gcds at most.
+# strips the 6542 primes below it with one gcd per block, 52 gcds at most.
 _TRIAL_BOUND = 1 << 16
 
 
@@ -40,15 +39,15 @@ def _prime_flags(limit: int) -> bytearray:
 _SMALL_FLAGS = _prime_flags(_TRIAL_BOUND)
 _SMALL_PRIMES = list(itertools.compress(range(_TRIAL_BOUND + 1), _SMALL_FLAGS))
 
-# factorize divides by the primes below 2^8 one at a time: nearly every n
-# has one of them, and small n stop among them. The primes above come in
-# blocks of _GCD_BLOCK consecutive primes with their products, so that one
-# gcd tells which primes of a block divide n.
+# factorize takes the primes below 2^16 in blocks of consecutive primes with
+# their products, so that one gcd tells which primes of a block divide n.
+# The first block is the 54 primes below 2^8: nearly every n has one of
+# them, and small n stop after it. The rest come _GCD_BLOCK at a time.
 _GCD_BLOCK = 128
-_HEAD_PRIMES = _SMALL_PRIMES[:_SMALL_FLAGS[:1 << 8].count(1)]
-_BLOCKS = [(block, math.prod(block)) for block in (
+_HEAD = _SMALL_FLAGS[:1 << 8].count(1)
+_BLOCKS = [(block, math.prod(block)) for block in [_SMALL_PRIMES[:_HEAD]] + [
     _SMALL_PRIMES[i:i + _GCD_BLOCK]
-    for i in range(len(_HEAD_PRIMES), len(_SMALL_PRIMES), _GCD_BLOCK))]
+    for i in range(_HEAD, len(_SMALL_PRIMES), _GCD_BLOCK)]]
 
 
 # --------------------------------------------------------------- primality
@@ -128,9 +127,9 @@ def is_prime(n: int) -> bool:
         return False
     if n < _TRIAL_BOUND:
         return _SMALL_FLAGS[n] == 1
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    # n is above every prime below 2^8, so sharing one makes it composite
+    if math.gcd(_BLOCKS[0][1], n) > 1:
+        return False
     for bound, k in _MR_PREFIXES:
         if n < bound:
             return _miller_rabin(n, _MR_BASES[:k])
@@ -150,7 +149,7 @@ def valuation(p: int, x: Number) -> tuple[int, Number]:
     x must be a nonzero int or Fraction; p must be prime. For Fraction input
     nu may be negative and unit is a Fraction.
     """
-    _require_prime(p)
+    require_prime(p)
     if x == 0:
         raise ValueError("valuation of 0 is undefined here; see valuation_or_inf")
     if isinstance(x, Fraction):
@@ -174,12 +173,13 @@ def _int_valuation(p: int, x: int) -> tuple[int, int]:
 def valuation_or_inf(p: int, x: Number) -> tuple[Union[int, float], Number]:
     """Like valuation but maps 0 to (math.inf, 0)."""
     if x == 0:
-        _require_prime(p)
+        require_prime(p)
         return math.inf, 0
     return valuation(p, x)
 
 
-def _require_prime(p: int) -> None:
+def require_prime(p: int) -> None:
+    """Rejects bools, non-ints and integers that are not prime as p."""
     if type(p) is not int or p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
 
@@ -201,7 +201,7 @@ def require_positive_int(name: str, x: int) -> None:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p: 0 if p | a, else +-1."""
-    _require_prime(p)
+    require_prime(p)
     if p == 2:
         raise ValueError("legendre needs an odd prime modulus, got 2")
     return _legendre(a, p)
@@ -309,8 +309,6 @@ def sqrt_mod_prime_power(n: int, p: int, k: int) -> int:
 def _brent_rho(n: int, rng: random.Random, limit: int) -> int:
     # Brent's cycle variant of Pollard rho with batched gcd. Gives up,
     # returning 0, once the cycle length passes limit steps.
-    if n % 2 == 0:
-        return 2
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -344,11 +342,12 @@ def _brent_rho(n: int, rng: random.Random, limit: int) -> int:
 def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
     """(sign, [(p, e), ...]) with n = sign * prod(p**e), pairs sorted by p.
 
-    The primes below 2^8 are tried one by one, the rest below the trial
-    bound a block at a time, by the gcd of n with the block's product. Either
-    stage stops at the first prime, or first prime of a block, whose square
-    exceeds what is left of n; what is left then has no prime factor below
-    that point and goes to _split_cofactor.
+    The primes below the trial bound are tried a block at a time, by the gcd
+    of n with the block's product: one gcd per block, 52 at most. A block
+    whose gcd is above 1 is walked until what is left of the gcd is prime.
+    The loop stops at the first block whose first prime squared exceeds what
+    is left of n; what is left then has no prime factor below that point
+    and goes to _split_cofactor.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -357,24 +356,22 @@ def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
         sign = -1
         n = -n
     powers: dict[int, int] = {}
-    for p in _HEAD_PRIMES:
-        if p * p > n:
+    for block, product in _BLOCKS:
+        if block[0] * block[0] > n:
             break
-        if n % p == 0:
-            powers[p], n = _int_valuation(p, n)
-    else:
-        for block, product in _BLOCKS:
-            if block[0] * block[0] > n:
+        g = math.gcd(product, n)
+        if g == 1:
+            continue
+        for p in block:
+            # g's primes are p or above, so g is prime once p * p > g
+            if p * p > g:
+                powers[g], n = _int_valuation(g, n)
                 break
-            g = math.gcd(product, n)
-            if g == 1:
-                continue
-            for p in block:
-                if g % p == 0:
-                    powers[p], n = _int_valuation(p, n)
-                    g //= p
-                    if g == 1:
-                        break
+            if g % p == 0:
+                powers[p], n = _int_valuation(p, n)
+                g //= p
+                if g == 1:
+                    break
     if n > 1:
         _split_cofactor(n, powers)
     return sign, sorted(powers.items())

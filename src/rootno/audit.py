@@ -39,8 +39,8 @@ import os
 from functools import partial
 from typing import Optional
 
-from .arith import (_require_prime, as_minus_3_square, factorize, legendre,
-                    require_nonzero_int, require_positive_int,
+from .arith import (as_minus_3_square, factorize, legendre,
+                    require_nonzero_int, require_positive_int, require_prime,
                     sqrt_mod_prime_power, valuation)
 from .constancy import (_condition, check_f, check_f_table1, check_l_lemma,
                         require_progression)
@@ -64,7 +64,7 @@ def probe_set(p: int, s: int, a: int, b: int) -> list:
     nu_p(a) + nu_p(s) + 8 in each small unit class, and deep t^2 = s
     approximations where they exist.
     """
-    _require_prime(p)
+    require_prime(p)
     require_nonzero_int("s", s)
     a = require_progression(a, b)
 

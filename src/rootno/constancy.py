@@ -26,11 +26,11 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import (
-    _require_prime,
     as_minus_3_square,
     factorize,
     legendre,
     require_nonzero_int,
+    require_prime,
     valuation,
     valuation_or_inf,
 )
@@ -174,7 +174,7 @@ def check_f_p(p: int, s: int, a: int, b: int) -> Verdict:
     per-prime condition lists are only defined there.
     """
     a = require_progression(a, b)
-    _require_prime(p)
+    require_prime(p)
     if as_minus_3_square(s) is None:
         raise ValueError("check_f_p requires s = -3*r^2 with r nonzero")
     if p >= 5 and _nu(p, s) == 0:

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from rootno.arith import _int_valuation, _legendre, _require_prime
+from rootno.arith import _int_valuation, _legendre, require_prime
 from rootno.families import is_singular
 
 Sign = int
@@ -62,7 +62,7 @@ class LocalProfile:
     __slots__ = ("p", "nu_s", "s_u", "nu_t", "t_u", "nu_d", "d_u")
 
     def __init__(self, p: int, s: int, t: int):
-        _require_prime(p)
+        require_prime(p)
         if is_singular(s, t):
             raise ValueError(f"fibre (s={s}, t={t}) is singular")
         self.p = p

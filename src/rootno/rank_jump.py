@@ -30,12 +30,12 @@ pinned in the tests and surfaced by the audit module, not patched here.
 from typing import Optional
 
 from .arith import (
-    _require_prime,
     as_minus_12_fourth,
     factorize,
     is_prime,
     legendre,
     require_nonzero_int,
+    require_prime,
     valuation,
 )
 from .constancy import check_f, require_progression
@@ -160,7 +160,7 @@ def forced_sign(p: int, s: int, a: int, b: int) -> Optional[int]:
     progression carries that local sign according to the condition
     lists; None means they are silent (the sign may still be constant).
     """
-    _require_prime(p)
+    require_prime(p)
     _require_quartic(s)
     require_progression(a, b)
     if p == 2:

@@ -381,8 +381,8 @@ def _trial_division(n):
 
 
 def test_factorize_blocks_cover_the_primes_below_2_16():
-    assert arith._HEAD_PRIMES == [p for p in _PRIMES_BELOW_2_16 if p < 1 << 8]
-    walked = list(arith._HEAD_PRIMES)
+    assert arith._BLOCKS[0][0] == [p for p in _PRIMES_BELOW_2_16 if p < 1 << 8]
+    walked = []
     for block, product in arith._BLOCKS:
         assert product == math.prod(block)
         walked += block
@@ -408,8 +408,8 @@ def test_factorize_at_block_boundaries():
         assert factorize(n) == (1, _trial_division(n)), n
 
 
-# the prime ends of every block, and of the run of primes tried one by one
-_BLOCK_ENDS = sorted({arith._HEAD_PRIMES[0], arith._HEAD_PRIMES[-1]}.union(
+# the prime ends of every block
+_BLOCK_ENDS = sorted(set().union(
     *({block[0], block[-1]} for block, _ in arith._BLOCKS)))
 
 # the primes of a tail above the trial bound: none, one prime, or a
