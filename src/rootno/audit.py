@@ -158,8 +158,9 @@ def falsify_constancy(s: int, a: int, b: int, budget: int = 1000) -> Optional[tu
     Scans u outward from 0 (skipping singular fibres), then walks the
     per-prime probe sets, at most budget u values in each phase.  Returns
     ((u1, W1), (u2, W2)) for the first opposing pair found, or None if the
-    budget is exhausted.  budget is a positive int.  A fibre whose
-    t^2 - s cannot be factored raises ValueError.
+    budget is exhausted.  budget is a positive int.  When s is not
+    -3 r^2, a fibre whose t^2 - s cannot be factored raises ValueError; for
+    s = -3 r^2 root_number_f factors no fibre.
     """
     require_nonzero_int("s", s)
     require_progression(a, b)

@@ -28,6 +28,13 @@ only as the printed string; the one evaluator of each printed value is
 looked up when the row is built, and a printed value with no evaluator is
 refused at import.
 
+The rows read the unit parts of s, t and t^2 - s only mod 16 at p = 2,
+mod 9 at p = 3 and through Legendre symbols mod p at p >= 5, so a row hit
+is a function of the profile's valuations and its unit parts reduced mod
+that modulus (``LocalProfile.key``). ``w_star_hit`` keeps the hit of each
+such key it has walked the rows for, up to 2^12 keys, and walks the rows
+only on a key it does not hold.
+
 Known divergences between these tables and other published claims are
 deliberately NOT patched here: the rows are kept exactly as transcribed, so
 that discrepancies are reported by the audit machinery instead of silently
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 from rootno.arith import _int_valuation, _legendre, require_prime
 from rootno.families import is_singular
@@ -52,14 +59,20 @@ class TableFallthrough(Exception):
 
 
 class LocalProfile:
-    """Valuations and unit parts of s, t and t^2 - s at one prime.
+    """Valuations and unit parts of s, t and t^2 - s at one prime, and the
+    first columns of the tables:
+
+      k    = 2 nu(t) - nu(s): the first column of T3;
+      diff = nu(s) - 2 nu(t): the first column of T4, T6, T8, T10, T11;
+      m    = nu(t^2-s) - 2 nu(t): the first column of T5, T7, T9, T12.
 
     nu_t is math.inf and t_u is None when t = 0; every table row that
     consults t_u is unreachable in that case (guards test the valuation
     columns first).
     """
 
-    __slots__ = ("p", "nu_s", "s_u", "nu_t", "t_u", "nu_d", "d_u")
+    __slots__ = ("p", "nu_s", "s_u", "nu_t", "t_u", "nu_d", "d_u",
+                 "k", "diff", "m")
 
     def __init__(self, p: int, s: int, t: int):
         require_prime(p)
@@ -72,22 +85,17 @@ class LocalProfile:
         else:
             self.nu_t, self.t_u = _int_valuation(p, t)
         self.nu_d, self.d_u = _int_valuation(p, t * t - s)
+        self.k = 2 * self.nu_t - self.nu_s
+        self.diff = -self.k
+        self.m = self.nu_d - 2 * self.nu_t
 
-    # key columns
-    @property
-    def k(self) -> Union[int, float]:
-        """2 nu(t) - nu(s): the first column of T3."""
-        return 2 * self.nu_t - self.nu_s
-
-    @property
-    def diff(self) -> Union[int, float]:
-        """nu(s) - 2 nu(t): the first column of T4, T6, T8, T10, T11."""
-        return self.nu_s - 2 * self.nu_t
-
-    @property
-    def m(self) -> int:
-        """nu(t^2-s) - 2 nu(t): the first column of T5, T7, T9, T12."""
-        return self.nu_d - 2 * self.nu_t
+    def key(self) -> tuple:
+        """The valuations and the unit parts mod 16 (p = 2), 9 (p = 3) or p
+        (p >= 5): every guard and value of the tables reads only these."""
+        mod = 16 if self.p == 2 else 9 if self.p == 3 else self.p
+        return (self.p, self.nu_s, self.s_u % mod, self.nu_t,
+                None if self.t_u is None else self.t_u % mod,
+                self.nu_d, self.d_u % mod)
 
     def leg(self, a: int) -> Sign:
         # only the tables at odd p read a Legendre symbol
@@ -125,15 +133,14 @@ class Row:
     vdesc: str                                 # printed value
     guard: Callable[[LocalProfile], bool]
     value: Callable[[LocalProfile], Sign] = field(init=False, repr=False)
+    row_id: str = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.vdesc not in _VALUES:
             raise ValueError(f"no evaluator for printed value {self.vdesc!r}")
         object.__setattr__(self, "value", _VALUES[self.vdesc])
-
-    @property
-    def row_id(self) -> str:
-        return f"{self.cell} & {self.sub}" if self.sub else self.cell
+        object.__setattr__(self, "row_id", f"{self.cell} & {self.sub}"
+                           if self.sub else self.cell)
 
 
 # --------------------------------------------------------------------- T3
@@ -546,13 +553,27 @@ class RowHit:
     sign: Sign
 
 
+# the RowHit of each LocalProfile key walked; emptied when full, which
+# keeps it bounded with no lock, as each dict operation is atomic
+_HITS: dict[tuple, RowHit] = {}
+_HITS_MAX = 1 << 12
+
+
 def w_star_hit(p: int, s: int, t: int) -> RowHit:
     """Like w_star but reports which table row produced the sign."""
     q = LocalProfile(p, s, t)
+    key = q.key()
+    hit = _HITS.get(key)
+    if hit is not None:
+        return hit
     tid = dispatch_table(q)
     for row in TABLES[tid]:
         if row.guard(q):
-            return RowHit(tid, row.cell, row.row_id, row.value(q))
+            hit = RowHit(tid, row.cell, row.row_id, row.value(q))
+            if len(_HITS) >= _HITS_MAX:
+                _HITS.clear()
+            _HITS[key] = hit
+            return hit
     raise TableFallthrough(
         f"no row of {tid} matched p={p}, s={s}, t={t} "
         f"(nu_s={q.nu_s}, nu_t={q.nu_t}, nu_d={q.nu_d})"

@@ -11,16 +11,25 @@ prime p of the factor base, p divides t^2 - s but not s, so nu(s) = nu(t)
 e = nu_p(t^2 - s) is 2 or 4 mod 6, else +1. So the sign there is read off
 the exponent e, which factoring t^2 - s gives anyway.
 
+When s = -3 r^2, such a p divides t^2 + 3 r^2 and not 3 r, so -3 is a
+square mod p and (-3/p) = +1: every sign off 6 s is +1. ``root_number_f``
+then factors nothing, not even t^2 - s: W = -prod of w_p* over the primes
+of 6 s, which ``_s_primes`` keeps for the last 256 values of s.
+``breakdown_f`` still factors t^2 - s, since it lists those primes.
+
 A window of fibres t = a u + b takes its rows from arith.factorize_window.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
-from rootno.arith import factorize, factorize_window, require_nonzero_int
+from rootno.arith import (as_minus_3_square, factorize, factorize_window,
+                          require_nonzero_int)
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import w_star
 
@@ -38,14 +47,13 @@ class Breakdown:
     factors: dict[int, Sign]  # keyed by the factor-base primes, ascending
 
 
-def _s_primes(s: int) -> set[int]:
+@lru_cache(maxsize=256)
+def _s_primes(s: int) -> frozenset[int]:
     """The primes of 6 s."""
-    primes = {2, 3}
-    primes.update(p for p, _ in factorize(s)[1])
-    return primes
+    return frozenset({2, 3}.union(p for p, _ in factorize(s)[1]))
 
 
-def _factored(s: int, t: int) -> tuple[set[int], dict[int, int]]:
+def _factored(s: int, t: int) -> tuple[frozenset[int], dict[int, int]]:
     """The primes of 6 s and the exponent map of t^2 - s; rejects singular
     fibres."""
     if is_singular(s, t):
@@ -59,7 +67,7 @@ def factor_base(s: int, t: int) -> list[int]:
     return sorted(s_primes.union(powers))
 
 
-def _breakdown(s: int, t: int, s_primes: set[int],
+def _breakdown(s: int, t: int, s_primes: frozenset[int],
                powers: dict[int, int]) -> Breakdown:
     """The Breakdown of the fibre (s, t), given the primes of 6 s and the
     exponent map of t^2 - s. The tables give the sign at the primes of 6 s;
@@ -83,8 +91,16 @@ def breakdown_f(s: int, t: int) -> Breakdown:
 
 
 def root_number_f(s: int, t: int) -> Sign:
-    """W of the fibre y^2 = x^3 + 3t x^2 + 3s x + s t."""
-    return breakdown_f(s, t).w
+    """W of the fibre y^2 = x^3 + 3t x^2 + 3s x + s t. For s = -3 r^2 only
+    the primes of 6 s are read, so t^2 - s is not factored."""
+    if as_minus_3_square(s) is None:
+        return breakdown_f(s, t).w
+    # s < 0 <= t^2, so the fibre is nonsingular; t must still be an int
+    t = operator.index(t)
+    w = -1
+    for p in _s_primes(s):
+        w *= w_star(p, s, t)
+    return w
 
 
 def _as_int(x: Number, what: str) -> int:

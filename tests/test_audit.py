@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from rootno import arith
+from rootno import arith, audit, root_number
 from rootno.audit import (
     FeatureDisabled,
     classical_cross_check,
@@ -49,11 +49,42 @@ def test_falsify_skips_singular_fibres():
 
 
 def test_falsify_raises_on_an_unfactorable_fibre(monkeypatch):
-    # with one tiny ECM level the u = 0 fibre's 85-bit t^2 - s cannot be
-    # split; skipping it would hide that the scan did not cover u = 0
+    # s = -2 is not -3 r^2, so each fibre factors t^2 - s; with one tiny
+    # ECM level the u = 0 fibre's t^2 + 2 leaves a 95-bit cofactor that
+    # cannot be split, and skipping it would hide that the scan did not
+    # cover u = 0
+    monkeypatch.setattr(arith, "_ECM_LEVELS", ((10, 1),))
+    with pytest.raises(ValueError, match="95-bit"):
+        falsify_constancy(-2, 1, 870968805654166597, 5)
+
+
+def test_falsify_at_minus_3_square_needs_no_factoring_of_fibres(monkeypatch):
+    # the same cut schedule: for s = -3 r^2 the signs are read at the
+    # primes of 6s alone, so the 85-bit cofactor of t^2 + 3 at u = 0 is
+    # never split
     monkeypatch.setattr(arith, "_ECM_LEVELS", ((10, 1),))
     with pytest.raises(ValueError, match="85-bit"):
-        falsify_constancy(-3, 1, 896031015877463607, 5)
+        arith.factorize(896031015877463607 ** 2 + 3)
+    assert falsify_constancy(-3, 1, 896031015877463607, 5) == ((0, -1), (1, 1))
+
+
+@pytest.mark.parametrize("s, a, b, expected", [
+    (-972, 12, 18, ((0, -1), (1, 1))),
+    (-7500, 6000, 60, None),      # the whole scan and every probe
+])
+def test_falsify_factors_s_once_and_no_fibre(monkeypatch, s, a, b, expected):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return arith.factorize(n)
+
+    for module in (root_number, audit):
+        monkeypatch.setattr(module, "factorize", counted)
+    root_number._s_primes.cache_clear()
+    assert falsify_constancy(s, a, b, 200) == expected
+    assert calls.count(s) <= 1
+    assert set(calls) <= {s, 6 * abs(s)}, calls
 
 
 def test_falsify_validation():

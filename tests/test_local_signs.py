@@ -12,12 +12,14 @@ import random
 
 import pytest
 
+from rootno import local_signs
 from rootno.arith import legendre
 from rootno.local_signs import (
     _VALUES,
     TABLES,
     LocalProfile,
     Row,
+    TableFallthrough,
     dispatch_table,
     w_star,
     w_star_hit,
@@ -332,3 +334,80 @@ def test_minus_3_shape_symbol():
             for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
                 if d % p == 0 and (3 * r) % p != 0 and t % p != 0:
                     assert legendre(-3, p) == 1
+
+
+# ----------------------------------------------------- the row-hit cache
+
+def _walk(q):
+    """(table, row_id, sign) of the first row whose guard holds, or
+    (table, None, None) on a fall-through: the rows, read with no cache."""
+    tid = dispatch_table(q)
+    for row in TABLES[tid]:
+        if row.guard(q):
+            return tid, row.row_id, row.value(q)
+    return tid, None, None
+
+
+def _profile(p, nu_s, s_u, nu_t, t_u, nu_d, d_u):
+    """A LocalProfile with the given columns, reachable by a fibre or not."""
+    q = object.__new__(LocalProfile)
+    q.p, q.nu_s, q.s_u, q.nu_t, q.t_u, q.nu_d, q.d_u = \
+        p, nu_s, s_u, nu_t, t_u, nu_d, d_u
+    q.k = 2 * nu_t - nu_s
+    q.diff = nu_s - 2 * nu_t
+    q.m = nu_d - 2 * nu_t
+    return q
+
+
+def test_rows_read_unit_parts_only_mod_16_9_or_p():
+    # the claim w_star_hit's cache rests on: moving s_u, t_u or d_u by a
+    # multiple of M (16 at p = 2, 9 at p = 3, p at p >= 5) keeps the table,
+    # the row and the sign, or the fall-through
+    rng = random.Random(RNG_SEED + 3)
+    tables = set()
+    for p in (2, 3, 5, 7, 11, 13):
+        mod = 16 if p == 2 else 9 if p == 3 else p
+        units = [u for u in range(1, mod) if u % p]
+        for _ in range(6000):
+            nu_s, nu_d = rng.randint(0, 12), rng.randint(0, 12)
+            nu_t = rng.choice([math.inf] + list(range(13)))
+            cols = [rng.choice(units) for _ in range(3)]
+            base = _walk(_profile(p, nu_s, cols[0], nu_t,
+                                  None if nu_t == math.inf else cols[1],
+                                  nu_d, cols[2]))
+            tables.add(base[0])
+            for _ in range(3):
+                moved = [c + mod * rng.randint(-10**6, 10**6) for c in cols]
+                got = _walk(_profile(p, nu_s, moved[0], nu_t,
+                                     None if nu_t == math.inf else moved[1],
+                                     nu_d, moved[2]))
+                assert got == base, (p, nu_s, nu_t, nu_d, cols, moved)
+    assert tables == set(TABLES)
+
+
+def test_cached_hits_match_the_row_walk(monkeypatch):
+    # twice over the sweep: first into an empty cache, then out of it
+    monkeypatch.setattr(local_signs, "_HITS", {})
+    fibres = [f for f in _sweep_fibres() if f[1] != 0 and f[1] != f[2] ** 2]
+    for _ in range(2):
+        for p, s, t in fibres:
+            hit = w_star_hit(p, s, t)
+            assert (hit.table, hit.row_id, hit.sign) == \
+                _walk(LocalProfile(p, s, t)), (p, s, t)
+
+
+def test_row_hit_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(local_signs, "_HITS", {})
+    p = 10007
+    for s in range(-1, -10**4 - 1, -1):
+        # s_u = s mod p differs for each s: 10^4 distinct keys
+        assert w_star_hit(p, s, 1).sign in (-1, 1)
+    assert 0 < len(local_signs._HITS) <= local_signs._HITS_MAX == 1 << 12
+
+
+def test_fallthrough_names_the_fibre(monkeypatch):
+    w_star_hit(5, -3, 1)  # cached before the table is emptied
+    monkeypatch.setitem(TABLES, "T3", [])
+    monkeypatch.setattr(local_signs, "_HITS", {})
+    with pytest.raises(TableFallthrough, match="p=5, s=-3, t=1 "):
+        w_star_hit(5, -3, 1)

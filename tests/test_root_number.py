@@ -14,6 +14,7 @@ from rootno.local_signs import w_star
 from rootno.root_number import (
     average_root_number_window,
     breakdown_f,
+    breakdown_l,
     factor_base,
     root_number_f,
     root_number_l,
@@ -299,6 +300,7 @@ def test_short_window_factors_s_once(monkeypatch):
 
     monkeypatch.setattr(arith, "factorize", counted)
     monkeypatch.setattr(root_number, "factorize", counted)
+    root_number._s_primes.cache_clear()
     rows = 10
     got = window_breakdowns(-972, 12, 18, 0, rows - 1)
     assert len(calls) == rows + 1
@@ -312,3 +314,61 @@ def test_window_validation_and_empty_window():
                  (-972, 12, 18, 0, "1")]:
         with pytest.raises(ValueError):
             window_breakdowns(*args)
+
+
+# ---------------------------------------------------------------------------
+# root_number_f at s = -3 r^2: the primes of 6s alone, against breakdown_f
+# ---------------------------------------------------------------------------
+
+# the r of the benchmark's progression grid, s = -3 r^2
+_GRID_R = (1, 2, 3, 4, 5, 6, 7, 10, 12, 18, 25, 50)
+
+
+def test_minus_3_square_route_matches_breakdown_f_on_the_grid():
+    for r in _GRID_R:
+        s = -3 * r * r
+        for t in list(range(-120, 121)) + [10**6 + 7, -(10**9) - 3, 2**40]:
+            assert root_number_f(s, t) == breakdown_f(s, t).w, (s, t)
+
+
+def test_minus_12_fourth_takes_the_minus_3_square_route():
+    # s = -12 q^4 = -3 (2 q^2)^2, and the twist (7, -588, 1) reduces to
+    # S = -588 * 49 = -3 * 98^2
+    for q in range(1, 14):
+        s = -12 * q**4
+        for t in range(-60, 61):
+            assert root_number_f(s, t) == breakdown_f(s, t).w, (s, t)
+    for t in range(-40, 41):
+        assert root_number_l(7, -588, 1, t) == breakdown_l(7, -588, 1, t).w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**4), st.integers(-10**9, 10**9))
+def test_minus_3_square_route_matches_breakdown_f(r, t):
+    s = -3 * r * r
+    assert root_number_f(s, t) == breakdown_f(s, t).w
+
+
+def test_minus_3_square_route_factors_only_s(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(root_number, "factorize", counted)
+    root_number._s_primes.cache_clear()
+    for t in range(-50, 51):
+        root_number_f(-972, t)
+    assert calls == [-972]
+    with pytest.raises(TypeError):
+        root_number_f(-972, 18.0)
+
+
+def test_s_primes_cache_is_bounded():
+    root_number._s_primes.cache_clear()
+    for s in range(1, 10**4 + 1):
+        assert root_number._s_primes(s) == {2, 3}.union(
+            p for p, _ in factorize(s)[1])
+    info = root_number._s_primes.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256
