@@ -117,8 +117,8 @@ _MR_PREFIXES = ((1373653, 2), (25326001, 3), (3215031751, 4),
                 (1 << 64, 12))
 
 
-# bounded so that no input grows it without limit; 2^14 holds the 9.2k
-# distinct n of one round of the benchmark's progressions workload
+# bounded so that no input grows it without limit (2^14 entries of 95-bit
+# n take about 2.2 MB); it pays when the same cofactor is tested again
 @lru_cache(maxsize=1 << 14)
 def is_prime(n: int) -> bool:
     """Deterministic below 2^64 (Miller-Rabin bases by size); Baillie-PSW

@@ -39,14 +39,15 @@ import os
 from functools import partial
 from typing import Optional
 
-from .arith import (as_minus_3_square, factorize, legendre,
+from .arith import (as_minus_3_square, legendre,
                     require_nonzero_int, require_positive_int, require_prime,
                     sqrt_mod_prime_power, valuation)
 from .constancy import (_condition, check_f, check_f_table1, check_l_lemma,
                         require_progression)
 from .families import is_singular
 from .local_signs import w_star, w_star_hit
-from .root_number import breakdown_f, breakdown_l, root_number_f, root_number_l
+from .root_number import (breakdown_f, breakdown_l, primes_of_6s, root_number_f,
+                          root_number_l)
 
 _BLOCK_CAP = 2048
 _UNIT_CAP = 64
@@ -172,7 +173,7 @@ def falsify_constancy(s: int, a: int, b: int, budget: int = 1000) -> Optional[tu
             scanned.add(u)
             yield u
         candidates = set()
-        for prm, _ in factorize(6 * abs(s))[1]:
+        for prm in primes_of_6s(s):
             candidates.update(probe_set(prm, s, a, b))
         yield from sorted(candidates - scanned, key=lambda x: (abs(x), x))[:budget]
 
@@ -220,7 +221,7 @@ def _check_f(row: dict, claim: Optional[int], shown: int) -> list:
     first, flip = _sign_flip(_f_sign(s, a, b), _WINDOW)
     if flip is not None:
         (u1, w1), (u2, w2) = first, flip
-        prime = next(p for p, _ in factorize(6 * abs(s))[1]
+        prime = next(p for p in primes_of_6s(s)
                      if w_star(p, s, a * u1 + b) != w_star(p, s, a * u2 + b))
         pair = "u=%d gives W=%+d, u=%d gives W=%+d" % (u1, w1, u2, w2)
     records = []

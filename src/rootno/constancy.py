@@ -35,7 +35,7 @@ from .arith import (
     valuation_or_inf,
 )
 from .local_signs import w_star
-from .root_number import root_number_f, root_number_l
+from .root_number import primes_of_6s, root_number_f, root_number_l
 
 Rational = Union[int, Fraction]
 
@@ -158,7 +158,7 @@ def check_f(s: int, a: int, b: int) -> Verdict:
     if as_minus_3_square(s) is None:
         return Verdict(False, None, (), NOT_MINUS_3_SQUARE)
     matched = []
-    for p in [p for p, _ in factorize(s)[1] if p >= 5] + [3, 2]:
+    for p in primes_of_6s(s)[2:] + (3, 2):
         hit, reason = _condition(p, s, a, b)
         if hit is None:
             return Verdict(False, None, tuple(matched), reason)
@@ -177,7 +177,7 @@ def check_f_p(p: int, s: int, a: int, b: int) -> Verdict:
     require_prime(p)
     if as_minus_3_square(s) is None:
         raise ValueError("check_f_p requires s = -3*r^2 with r nonzero")
-    if p >= 5 and _nu(p, s) == 0:
+    if p not in primes_of_6s(s):
         # local sign is identically +1 off the primes of 6s
         return Verdict(True, w_star(p, s, b), ())
     hit, reason = _condition(p, s, a, b)

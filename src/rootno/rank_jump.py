@@ -31,7 +31,6 @@ from typing import Optional
 
 from .arith import (
     as_minus_12_fourth,
-    factorize,
     is_prime,
     legendre,
     require_nonzero_int,
@@ -39,6 +38,7 @@ from .arith import (
     valuation,
 )
 from .constancy import check_f, require_progression
+from .root_number import primes_of_6s
 
 BANNER = "conditional on the parity conjecture"
 
@@ -248,8 +248,7 @@ def rank_jump_report(s: int, a: int, b: int) -> dict:
     report = {"s": s, "a": a, "b": b, "generic_rank": generic}
     forced_w = None
     if generic == 1:
-        primes = [p for p, _ in factorize(6 * abs(s))[1]]
-        per_prime = {p: forced_sign(p, s, a, b) for p in primes}
+        per_prime = {p: forced_sign(p, s, a, b) for p in primes_of_6s(s)}
         report["per_prime"] = per_prime
         if all(w is not None for w in per_prime.values()):
             product = 1

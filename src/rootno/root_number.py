@@ -13,9 +13,10 @@ the exponent e, which factoring t^2 - s gives anyway.
 
 When s = -3 r^2, such a p divides t^2 + 3 r^2 and not 3 r, so -3 is a
 square mod p and (-3/p) = +1: every sign off 6 s is +1. ``root_number_f``
-then factors nothing, not even t^2 - s: W = -prod of w_p* over the primes
-of 6 s, which ``_s_primes`` keeps for the last 256 values of s.
-``breakdown_f`` still factors t^2 - s, since it lists those primes.
+then factors nothing, not even t^2 - s, nor does ``root_number_l`` when
+S = -3 r^2: W = -prod of w_p* over the primes of 6 s. ``primes_of_6s``,
+the one place those primes are derived, keeps them for the last 256
+values of s. ``breakdown_f`` still factors t^2 - s, since it lists them.
 
 A window of fibres t = a u + b takes its rows from arith.factorize_window.
 """
@@ -48,26 +49,12 @@ class Breakdown:
 
 
 @lru_cache(maxsize=256)
-def _s_primes(s: int) -> frozenset[int]:
-    """The primes of 6 s."""
-    return frozenset({2, 3}.union(p for p, _ in factorize(s)[1]))
+def primes_of_6s(s: int) -> tuple[int, ...]:
+    """The primes of 6 s, ascending."""
+    return tuple(sorted({2, 3}.union(p for p, _ in factorize(s)[1])))
 
 
-def _factored(s: int, t: int) -> tuple[frozenset[int], dict[int, int]]:
-    """The primes of 6 s and the exponent map of t^2 - s; rejects singular
-    fibres."""
-    if is_singular(s, t):
-        raise ValueError(f"fibre (s={s}, t={t}) is singular")
-    return _s_primes(s), dict(factorize(t * t - s)[1])
-
-
-def factor_base(s: int, t: int) -> list[int]:
-    """Ascending primes dividing 6 s (t^2 - s); rejects singular fibres."""
-    s_primes, powers = _factored(s, t)
-    return sorted(s_primes.union(powers))
-
-
-def _breakdown(s: int, t: int, s_primes: frozenset[int],
+def _breakdown(s: int, t: int, s_primes: tuple[int, ...],
                powers: dict[int, int]) -> Breakdown:
     """The Breakdown of the fibre (s, t), given the primes of 6 s and the
     exponent map of t^2 - s. The tables give the sign at the primes of 6 s;
@@ -76,7 +63,7 @@ def _breakdown(s: int, t: int, s_primes: frozenset[int],
     p = 2 mod 3."""
     factors = {}
     w = -1
-    for p in sorted(s_primes.union(powers)):
+    for p in sorted(powers.keys() | s_primes):
         if p in s_primes:
             sign = w_star(p, s, t)
         else:
@@ -87,7 +74,15 @@ def _breakdown(s: int, t: int, s_primes: frozenset[int],
 
 
 def breakdown_f(s: int, t: int) -> Breakdown:
-    return _breakdown(s, t, *_factored(s, t))
+    """The Breakdown of the fibre (s, t); rejects singular fibres."""
+    if is_singular(s, t):
+        raise ValueError(f"fibre (s={s}, t={t}) is singular")
+    return _breakdown(s, t, primes_of_6s(s), dict(factorize(t * t - s)[1]))
+
+
+def factor_base(s: int, t: int) -> list[int]:
+    """Ascending primes dividing 6 s (t^2 - s); rejects singular fibres."""
+    return list(breakdown_f(s, t).factors)
 
 
 def root_number_f(s: int, t: int) -> Sign:
@@ -98,17 +93,18 @@ def root_number_f(s: int, t: int) -> Sign:
     # s < 0 <= t^2, so the fibre is nonsingular; t must still be an int
     t = operator.index(t)
     w = -1
-    for p in _s_primes(s):
+    for p in primes_of_6s(s):
         w *= w_star(p, s, t)
     return w
 
 
-def _as_int(x: Number, what: str) -> int:
-    if isinstance(x, Fraction):
+def _reduce_l(w: Number, s: Number, v: Number, t: Number) -> tuple[int, int]:
+    """(S, T) of the twisted fibre; rejects a non-integral reduction."""
+    S, T = l_to_f(Fraction(w), Fraction(s), Fraction(v), Fraction(t))
+    for x, what in ((S, "s*w^2"), (T, "w*(t^2+v)")):
         if x.denominator != 1:
             raise ValueError(f"{what} = {x} is not an integer")
-        return x.numerator
-    return x
+    return S.numerator, T.numerator
 
 
 def breakdown_l(w: Number, s: Number, v: Number, t: Number) -> Breakdown:
@@ -116,12 +112,11 @@ def breakdown_l(w: Number, s: Number, v: Number, t: Number) -> Breakdown:
 
     The reduction must be integral and nonsingular.
     """
-    S, T = l_to_f(Fraction(w), Fraction(s), Fraction(v), Fraction(t))
-    return breakdown_f(_as_int(S, "s*w^2"), _as_int(T, "w*(t^2+v)"))
+    return breakdown_f(*_reduce_l(w, s, v, t))
 
 
 def root_number_l(w: Number, s: Number, v: Number, t: Number) -> Sign:
-    return breakdown_l(w, s, v, t).w
+    return root_number_f(*_reduce_l(w, s, v, t))
 
 
 def window_breakdowns(s: int, a: int, b: int, u_min: int,
@@ -138,7 +133,7 @@ def window_breakdowns(s: int, a: int, b: int, u_min: int,
     for name, x in (("b", b), ("u_min", u_min), ("u_max", u_max)):
         if type(x) is not int:
             raise ValueError("%s must be an integer" % name)
-    s_primes = _s_primes(s)
+    s_primes = primes_of_6s(s)
     return [None if powers is None else
             _breakdown(s, a * u + b, s_primes, powers) for u, powers
             in enumerate(factorize_window(s, a, b, u_min, u_max), u_min)]

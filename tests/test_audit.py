@@ -79,9 +79,8 @@ def test_falsify_factors_s_once_and_no_fibre(monkeypatch, s, a, b, expected):
         calls.append(n)
         return arith.factorize(n)
 
-    for module in (root_number, audit):
-        monkeypatch.setattr(module, "factorize", counted)
-    root_number._s_primes.cache_clear()
+    monkeypatch.setattr(root_number, "factorize", counted)
+    root_number.primes_of_6s.cache_clear()
     assert falsify_constancy(s, a, b, 200) == expected
     assert calls.count(s) <= 1
     assert set(calls) <= {s, 6 * abs(s)}, calls

@@ -130,7 +130,7 @@ def test_check_f_divergent_lane_c3b_block0():
     assert root_number_f(-3, 5) == -1
 
 
-def test_check_f_c3b_block2_is_sound():
+def test_check_f_c3b_block2_holds_at_b_2():
     # Same lane, nu2(s) % 4 == 2, at b = 2: on this progression enumeration
     # does stay constant.  The lane is not sound for the whole block; see
     # the b = 6 pin below.

@@ -1,6 +1,7 @@
 """Global root number: product over the factor base, twist reduction, windows."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from rootno import arith, root_number
 from rootno.arith import factorize, legendre, sqrt_mod_prime_power, valuation
+from rootno.audit import falsify_constancy, run_paper_examples
+from rootno.constancy import check_f, check_f_p
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import w_star
+from rootno.rank_jump import rank_jump_report
 from rootno.root_number import (
     average_root_number_window,
     breakdown_f,
@@ -139,7 +143,7 @@ def test_off_6s_sign_is_read_from_the_exponent():
         assert any(s < 0 for s in ss) and any(s > 0 for s in ss), p
         for s in ss:
             classes.add(legendre(-3, p))
-            s_primes = root_number._s_primes(s)
+            s_primes = root_number.primes_of_6s(s)
             for e in range(1, 14):
                 t = sqrt_mod_prime_power(s % p ** (e + 1), p, e + 1) + p ** e
                 assert valuation(p, t * t - s)[0] == e
@@ -300,7 +304,7 @@ def test_short_window_factors_s_once(monkeypatch):
 
     monkeypatch.setattr(arith, "factorize", counted)
     monkeypatch.setattr(root_number, "factorize", counted)
-    root_number._s_primes.cache_clear()
+    root_number.primes_of_6s.cache_clear()
     rows = 10
     got = window_breakdowns(-972, 12, 18, 0, rows - 1)
     assert len(calls) == rows + 1
@@ -350,6 +354,9 @@ def test_minus_3_square_route_matches_breakdown_f(r, t):
 
 
 def test_minus_3_square_route_factors_only_s(monkeypatch):
+    # neither root_number_f at s = -3 r^2 nor root_number_l at a twist
+    # reducing to such an S (here S = -588 * 7^2 = -3 * 98^2) factors
+    # t^2 - s: only s itself, once
     calls = []
 
     def counted(n):
@@ -357,18 +364,58 @@ def test_minus_3_square_route_factors_only_s(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(root_number, "factorize", counted)
-    root_number._s_primes.cache_clear()
+    root_number.primes_of_6s.cache_clear()
     for t in range(-50, 51):
         root_number_f(-972, t)
-    assert calls == [-972]
+    for t in range(-20, 21):
+        root_number_l(7, -588, 1, t)
+    assert calls == [-972, -28812]
     with pytest.raises(TypeError):
         root_number_f(-972, 18.0)
 
 
 def test_s_primes_cache_is_bounded():
-    root_number._s_primes.cache_clear()
+    root_number.primes_of_6s.cache_clear()
     for s in range(1, 10**4 + 1):
-        assert root_number._s_primes(s) == {2, 3}.union(
-            p for p, _ in factorize(s)[1])
-    info = root_number._s_primes.cache_info()
+        got = root_number.primes_of_6s(s)
+        assert type(got) is tuple
+        assert got == tuple(sorted({2, 3}.union(p for p, _ in factorize(s)[1])))
+    info = root_number.primes_of_6s.cache_info()
     assert info.maxsize == 256 and info.currsize == 256
+
+
+def test_consumers_read_the_primes_of_6s_from_one_place(monkeypatch):
+    # once primes_of_6s(s) is warm, the constancy checks, the witness
+    # search, the audit and the rank-jump report factor neither s, |s|
+    # nor 6|s| again; the worked examples' L row reduces to S = -28812.
+    # Calls are counted through every rootno module's binding of factorize
+    grid = [(-3 * r * r, a, b) for r in (1, 2, 5, 6, 7)
+            for a, b in ((12, 18), (8, 6), (4, 1), (40, -15))]
+    quartic = [(-12 * q**4, a, b) for q in (5, 7)
+               for a, b in ((8, 2), (4 * q, q), (1, 3))]
+    every_s = {s for s, _, _ in grid + quartic}.union((-972, -588, -28812,
+                                                        -7500, -3))
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rootno" or name.startswith("rootno."):
+            for attr, value in list(vars(module).items()):
+                if value is factorize:
+                    monkeypatch.setattr(module, attr, counted)
+    for s in every_s:
+        root_number.primes_of_6s(s)
+    del calls[:]
+    for s, a, b in grid:
+        check_f(s, a, b)
+        for p in (2, 3, 5, 7, 11, 13):
+            check_f_p(p, s, a, b)
+        falsify_constancy(s, a, b, 50)
+    for s, a, b in quartic:
+        rank_jump_report(s, a, b)
+    run_paper_examples()
+    for s in every_s:
+        assert not {s, abs(s), 6 * abs(s)} & set(calls), s
