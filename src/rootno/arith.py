@@ -403,10 +403,11 @@ def _split_cofactor(n: int, powers: dict) -> None:
 # Below this many rows a window is factored fibre by fibre. The sieve's
 # set-up costs an Euler test per prime up to its bound (about |t|, at most
 # 2^16) and a square root for every other one, while factorize strips the
-# primes below 2^16 with one gcd per block. On 2 cores the two tie near 512
-# rows at |t| ~ 1e6, trial division still leads at 768 rows at |t| ~ 1e5,
-# and the sieve leads by up to 1.4x from about 128 rows at |t| ~ 1e3, where
-# a window of 512 rows takes under 20 ms either way.
+# primes below 2^16 with one gcd per block. On 2 cores (README "Factoring")
+# the two tie between 512 and 1024 rows at |t| ~ 1e6, the per-fibre route
+# leads through 1024 rows at |t| ~ 1e5 and 1e3, and the sieve leads from
+# 2048 rows at |t| ~ 1e6 and 1e5. So 512 is low below |t| ~ 1e6; moving it
+# is a performance change, to be measured on windows either side of it.
 _SIEVE_ROWS = 512
 
 

@@ -18,9 +18,13 @@ and the valuation pattern of s and t:
   T11  p = 2, nu2(s) == 2 mod 4, 2 nu2(t) != nu2(s)
   T12  p = 2, nu2(s) == 2 mod 4, 2 nu2(t) == nu2(s)
 
-Tables are literal row lists: (cell, sub, printed value, guard) over a
-LocalProfile, first match wins, and a fall-through raises (every table is
-total over its dispatch domain; the totality fuzz test exercises this).
+Tables are flat row lists (cell, sub, printed value, guard) over a
+LocalProfile, written as the paper prints them, cell then rows. A cell of
+one row is a literal Row; a cell of several rows is written once through
+_cell, which states the cell's key and its condition on the valuations
+once and gives each row only its own unit condition, tested after the
+cell's. First match wins, and a fall-through raises (every table is total
+over its dispatch domain; the totality fuzz test exercises this).
 Row keys name the first column of the table ("diff" is nu(s) - 2 nu(t) in
 T4..T12, the table's own m = nu(t^2-s) - 2 nu(t) in the equal-valuation
 tables T5/T7/T9/T12, and k = 2 nu(t) - nu(s) in T3). A row states its value
@@ -143,60 +147,56 @@ class Row:
                            if self.sub else self.cell)
 
 
+def _cell(cell: str, guard: Callable[[LocalProfile], bool],
+          *rows: tuple) -> list[Row]:
+    """The rows of one printed cell, each given as (sub, printed value, own
+    guard or None): a row's guard is the cell's guard, then its own."""
+    return [Row(cell, sub, vdesc, guard if own is None
+                else lambda q, own=own: guard(q) and own(q))
+            for sub, vdesc, own in rows]
+
+
 # --------------------------------------------------------------------- T3
 
 T3 = [
     # nu(s) odd
-    Row("s odd & k<0", "nu(t) even", "-(3t_p/p)",
-        lambda q: q.nu_s % 2 == 1 and q.k < 0 and q.nu_t % 2 == 0),
-    Row("s odd & k<0", "nu(t) odd", "(-1/p)",
-        lambda q: q.nu_s % 2 == 1 and q.k < 0),
+    *_cell("s odd & k<0", lambda q: q.nu_s % 2 == 1 and q.k < 0,
+           ("nu(t) even", "-(3t_p/p)", lambda q: q.nu_t % 2 == 0),
+           ("nu(t) odd", "(-1/p)", None)),
     Row("s odd & k>0", "", "(2/p)",
         lambda q: q.nu_s % 2 == 1 and q.k > 0),
     # nu(s) == 0 mod 4
-    Row("s 0mod4 & k<0", "nu(t) even", "-(3t_p/p)",
-        lambda q: q.nu_s % 4 == 0 and q.k < 0 and q.nu_t % 2 == 0),
-    Row("s 0mod4 & k<0", "nu(t) odd", "(-1/p)",
-        lambda q: q.nu_s % 4 == 0 and q.k < 0),
+    *_cell("s 0mod4 & k<0", lambda q: q.nu_s % 4 == 0 and q.k < 0,
+           ("nu(t) even", "-(3t_p/p)", lambda q: q.nu_t % 2 == 0),
+           ("nu(t) odd", "(-1/p)", None)),
     Row("s 0mod4 & k>0", "", "+1",
         lambda q: q.nu_s % 4 == 0 and q.k > 0),
-    Row("s 0mod4 & k=0", "nu(t)=0 mod 6, nu(d)=2,4 mod 6", "(-3/p)",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 0
-        and q.nu_d % 6 in (2, 4)),
-    Row("s 0mod4 & k=0", "nu(t)=0 mod 6, otherwise", "+1",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 0),
-    Row("s 0mod4 & k=0", "nu(t)=2 mod 6, nu(d)=0,2 mod 6", "(-3/p)",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 2
-        and q.nu_d % 6 in (0, 2)),
-    Row("s 0mod4 & k=0", "nu(t)=2 mod 6, otherwise", "+1",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 2),
-    Row("s 0mod4 & k=0", "nu(t)=4 mod 6, nu(d)=0,4 mod 6", "(-3/p)",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 4
-        and q.nu_d % 6 in (0, 4)),
-    Row("s 0mod4 & k=0", "nu(t)=4 mod 6, otherwise", "+1",
-        lambda q: q.nu_s % 4 == 0 and q.k == 0 and q.nu_t % 6 == 4),
+    *_cell("s 0mod4 & k=0", lambda q: q.nu_s % 4 == 0 and q.k == 0,
+           ("nu(t)=0 mod 6, nu(d)=2,4 mod 6", "(-3/p)",
+            lambda q: q.nu_t % 6 == 0 and q.nu_d % 6 in (2, 4)),
+           ("nu(t)=0 mod 6, otherwise", "+1", lambda q: q.nu_t % 6 == 0),
+           ("nu(t)=2 mod 6, nu(d)=0,2 mod 6", "(-3/p)",
+            lambda q: q.nu_t % 6 == 2 and q.nu_d % 6 in (0, 2)),
+           ("nu(t)=2 mod 6, otherwise", "+1", lambda q: q.nu_t % 6 == 2),
+           ("nu(t)=4 mod 6, nu(d)=0,4 mod 6", "(-3/p)",
+            lambda q: q.nu_t % 6 == 4 and q.nu_d % 6 in (0, 4)),
+           ("nu(t)=4 mod 6, otherwise", "+1", lambda q: q.nu_t % 6 == 4)),
     # nu(s) == 2 mod 4
-    Row("s 2mod4 & k<0", "nu(t) even", "-(3t_p/p)",
-        lambda q: q.nu_s % 4 == 2 and q.k < 0 and q.nu_t % 2 == 0),
-    Row("s 2mod4 & k<0", "nu(t) odd", "(-1/p)",
-        lambda q: q.nu_s % 4 == 2 and q.k < 0),
+    *_cell("s 2mod4 & k<0", lambda q: q.nu_s % 4 == 2 and q.k < 0,
+           ("nu(t) even", "-(3t_p/p)", lambda q: q.nu_t % 2 == 0),
+           ("nu(t) odd", "(-1/p)", None)),
     Row("s 2mod4 & k>0", "", "(-1/p)",
         lambda q: q.nu_s % 4 == 2 and q.k > 0),
-    Row("s 2mod4 & k=0", "nu(t)=1 mod 6, nu(d)=1,3 mod 6", "(3/p)",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 1
-        and q.nu_d % 6 in (1, 3)),
-    Row("s 2mod4 & k=0", "nu(t)=1 mod 6, otherwise", "(-1/p)",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 1),
-    Row("s 2mod4 & k=0", "nu(t)=3 mod 6, nu(d)=1,5 mod 6", "(3/p)",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 3
-        and q.nu_d % 6 in (1, 5)),
-    Row("s 2mod4 & k=0", "nu(t)=3 mod 6, otherwise", "(-1/p)",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 3),
-    Row("s 2mod4 & k=0", "nu(t)=5 mod 6, nu(d)=3,5 mod 6", "(3/p)",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 5
-        and q.nu_d % 6 in (3, 5)),
-    Row("s 2mod4 & k=0", "nu(t)=5 mod 6, otherwise", "(-1/p)",
-        lambda q: q.nu_s % 4 == 2 and q.k == 0 and q.nu_t % 6 == 5),
+    *_cell("s 2mod4 & k=0", lambda q: q.nu_s % 4 == 2 and q.k == 0,
+           ("nu(t)=1 mod 6, nu(d)=1,3 mod 6", "(3/p)",
+            lambda q: q.nu_t % 6 == 1 and q.nu_d % 6 in (1, 3)),
+           ("nu(t)=1 mod 6, otherwise", "(-1/p)", lambda q: q.nu_t % 6 == 1),
+           ("nu(t)=3 mod 6, nu(d)=1,5 mod 6", "(3/p)",
+            lambda q: q.nu_t % 6 == 3 and q.nu_d % 6 in (1, 5)),
+           ("nu(t)=3 mod 6, otherwise", "(-1/p)", lambda q: q.nu_t % 6 == 3),
+           ("nu(t)=5 mod 6, nu(d)=3,5 mod 6", "(3/p)",
+            lambda q: q.nu_t % 6 == 5 and q.nu_d % 6 in (3, 5)),
+           ("nu(t)=5 mod 6, otherwise", "(-1/p)", lambda q: q.nu_t % 6 == 5)),
 ]
 
 # --------------------------------------------------------------------- T4
@@ -259,10 +259,9 @@ T6a = [
         lambda q: q.diff < -2),
     Row("diff=-2", "", "(t_3/3)",
         lambda q: q.diff == -2),
-    Row("diff>0", "nu(t) even", "-1",
-        lambda q: q.diff > 0 and q.nu_t % 2 == 0),
-    Row("diff>0", "nu(t) odd", "-(t_3/3)",
-        lambda q: q.diff > 0 and q.nu_t % 2 == 1),
+    *_cell("diff>0", lambda q: q.diff > 0,
+           ("nu(t) even", "-1", lambda q: q.nu_t % 2 == 0),
+           ("nu(t) odd", "-(t_3/3)", lambda q: q.nu_t % 2 == 1)),
 ]
 
 # -------------------------------------------------------------------- T6b
@@ -270,14 +269,12 @@ T6a = [
 T6b = [
     Row("diff<-2", "", "+1",
         lambda q: q.diff < -2),
-    Row("diff=-2", "t_3 = s_3 mod 3", "+1",
-        lambda q: q.diff == -2 and q.t_u % 3 == q.s_u % 3),
-    Row("diff=-2", "t_3 = -s_3 mod 3", "-1",
-        lambda q: q.diff == -2 and q.t_u % 3 == -q.s_u % 3),
-    Row("diff=2", "t_3 = s_3 mod 3", "+1",
-        lambda q: q.diff == 2 and q.t_u % 3 == q.s_u % 3),
-    Row("diff=2", "t_3 = -s_3 mod 3", "-1",
-        lambda q: q.diff == 2 and q.t_u % 3 == -q.s_u % 3),
+    *_cell("diff=-2", lambda q: q.diff == -2,
+           ("t_3 = s_3 mod 3", "+1", lambda q: q.t_u % 3 == q.s_u % 3),
+           ("t_3 = -s_3 mod 3", "-1", lambda q: q.t_u % 3 == -q.s_u % 3)),
+    *_cell("diff=2", lambda q: q.diff == 2,
+           ("t_3 = s_3 mod 3", "+1", lambda q: q.t_u % 3 == q.s_u % 3),
+           ("t_3 = -s_3 mod 3", "-1", lambda q: q.t_u % 3 == -q.s_u % 3)),
     Row("diff=0mod4>0", "", "-(t_3/3)",
         lambda q: q.diff > 0 and q.diff % 4 == 0),
     Row("diff=2mod4>2", "", "-1",
@@ -309,70 +306,64 @@ T7 = [
 # --------------------------------------------------------------------- T8
 
 T8 = [
-    Row("diff<-4", "s_2 = 1,3,7,13,15 mod 16", "-1",
-        lambda q: q.diff < -4 and q.s_u % 16 in (1, 3, 7, 13, 15)),
-    Row("diff<-4", "s_2 = 5,9,11 mod 16", "+1",
-        lambda q: q.diff < -4 and q.s_u % 16 in (5, 9, 11)),
-    Row("diff=-4", "s_2 = 3,5,7,9,11,15 mod 16", "-1",
-        lambda q: q.diff == -4 and q.s_u % 16 in (3, 5, 7, 9, 11, 15)),
-    Row("diff=-4", "s_2 = 1,13 mod 16", "+1",
-        lambda q: q.diff == -4 and q.s_u % 16 in (1, 13)),
-    Row("diff=-2", "s_2 = 3 mod 4", "+1",
-        lambda q: q.diff == -2 and q.s_u % 4 == 3),
-    Row("diff=-2", "s_2 = 1,13 mod 16, t_2 = 1 mod 4", "+1",
-        lambda q: q.diff == -2 and q.s_u % 16 in (1, 13) and q.t_u % 4 == 1),
-    Row("diff=-2", "s_2 = 5,9 mod 16, t_2 = 3 mod 4", "+1",
-        lambda q: q.diff == -2 and q.s_u % 16 in (5, 9) and q.t_u % 4 == 3),
-    Row("diff=-2", "otherwise", "-1",
-        lambda q: q.diff == -2),
-    Row("diff=2", "t_2 = s_2 mod 4", "+1",
-        lambda q: q.diff == 2 and q.t_u % 4 == q.s_u % 4),
-    Row("diff=2", "t_2 = -s_2 mod 4", "-1",
-        lambda q: q.diff == 2 and q.t_u % 4 == -q.s_u % 4),
-    Row("diff=2mod4>2", "t_2 = 3 mod 4", "+1",
-        lambda q: q.diff > 2 and q.diff % 4 == 2 and q.t_u % 4 == 3),
-    Row("diff=2mod4>2", "t_2 = 1 mod 4", "-1",
-        lambda q: q.diff > 2 and q.diff % 4 == 2 and q.t_u % 4 == 1),
-    Row("diff=4", "t_2 = 1,5 mod 8", "+1",
-        lambda q: q.diff == 4 and q.t_u % 8 in (1, 5)),
-    Row("diff=4", "s_2 = 1 mod 4, t_2 = 3 mod 8", "+1",
-        lambda q: q.diff == 4 and q.s_u % 4 == 1 and q.t_u % 8 == 3),
-    Row("diff=4", "s_2 = 3 mod 4, t_2 = 7 mod 8", "+1",
-        lambda q: q.diff == 4 and q.s_u % 4 == 3 and q.t_u % 8 == 7),
-    Row("diff=4", "otherwise", "-1",
-        lambda q: q.diff == 4),
-    Row("diff=0mod4>4", "t_2 = 7 mod 8", "+1",
-        lambda q: q.diff > 4 and q.diff % 4 == 0 and q.t_u % 8 == 7),
-    Row("diff=0mod4>4", "otherwise", "-1",
-        lambda q: q.diff > 4 and q.diff % 4 == 0),
+    *_cell("diff<-4", lambda q: q.diff < -4,
+           ("s_2 = 1,3,7,13,15 mod 16", "-1",
+            lambda q: q.s_u % 16 in (1, 3, 7, 13, 15)),
+           ("s_2 = 5,9,11 mod 16", "+1", lambda q: q.s_u % 16 in (5, 9, 11))),
+    *_cell("diff=-4", lambda q: q.diff == -4,
+           ("s_2 = 3,5,7,9,11,15 mod 16", "-1",
+            lambda q: q.s_u % 16 in (3, 5, 7, 9, 11, 15)),
+           ("s_2 = 1,13 mod 16", "+1", lambda q: q.s_u % 16 in (1, 13))),
+    *_cell("diff=-2", lambda q: q.diff == -2,
+           ("s_2 = 3 mod 4", "+1", lambda q: q.s_u % 4 == 3),
+           ("s_2 = 1,13 mod 16, t_2 = 1 mod 4", "+1",
+            lambda q: q.s_u % 16 in (1, 13) and q.t_u % 4 == 1),
+           ("s_2 = 5,9 mod 16, t_2 = 3 mod 4", "+1",
+            lambda q: q.s_u % 16 in (5, 9) and q.t_u % 4 == 3),
+           ("otherwise", "-1", None)),
+    *_cell("diff=2", lambda q: q.diff == 2,
+           ("t_2 = s_2 mod 4", "+1", lambda q: q.t_u % 4 == q.s_u % 4),
+           ("t_2 = -s_2 mod 4", "-1", lambda q: q.t_u % 4 == -q.s_u % 4)),
+    *_cell("diff=2mod4>2", lambda q: q.diff > 2 and q.diff % 4 == 2,
+           ("t_2 = 3 mod 4", "+1", lambda q: q.t_u % 4 == 3),
+           ("t_2 = 1 mod 4", "-1", lambda q: q.t_u % 4 == 1)),
+    *_cell("diff=4", lambda q: q.diff == 4,
+           ("t_2 = 1,5 mod 8", "+1", lambda q: q.t_u % 8 in (1, 5)),
+           ("s_2 = 1 mod 4, t_2 = 3 mod 8", "+1",
+            lambda q: q.s_u % 4 == 1 and q.t_u % 8 == 3),
+           ("s_2 = 3 mod 4, t_2 = 7 mod 8", "+1",
+            lambda q: q.s_u % 4 == 3 and q.t_u % 8 == 7),
+           ("otherwise", "-1", None)),
+    *_cell("diff=0mod4>4", lambda q: q.diff > 4 and q.diff % 4 == 0,
+           ("t_2 = 7 mod 8", "+1", lambda q: q.t_u % 8 == 7),
+           ("otherwise", "-1", None)),
 ]
 
 # --------------------------------------------------------------------- T9
 
 T9 = [
-    Row("diff=1", "(t_2, d_2) mod 8 in {(1;1,7),(3;5,7),(5;3,5),(7;1,3)}",
-        "+1",
-        lambda q: q.m == 1 and (q.t_u % 8, q.d_u % 8) in
-        {(1, 1), (1, 7), (3, 5), (3, 7), (5, 3), (5, 5), (7, 1), (7, 3)}),
-    Row("diff=1", "otherwise", "-1",
-        lambda q: q.m == 1),
-    Row("diff=2", "t_2 d_2 = 3 mod 4", "+1",
-        lambda q: q.m == 2 and q.t_u * q.d_u % 4 == 3),
-    Row("diff=2", "otherwise", "-1",
-        lambda q: q.m == 2),
-    Row("diff=3", "(t_2, d_2) mod 8 in {(1;3,5),(3;1,3),(5;1,7),(7;5,7)}",
-        "+1",
-        lambda q: q.m == 3 and (q.t_u % 8, q.d_u % 8) in
-        {(1, 3), (1, 5), (3, 1), (3, 3), (5, 1), (5, 7), (7, 5), (7, 7)}),
-    Row("diff=3", "otherwise", "-1",
-        lambda q: q.m == 3),
-    Row("diff=5", "(d_2, t_2) mod 8 in {(1;1,3,7),(3;1,3,5),(5;1,3,5),(7;1,5,7)}",
-        "+1",
-        lambda q: q.m == 5 and (q.d_u % 8, q.t_u % 8) in
-        {(1, 1), (1, 3), (1, 7), (3, 1), (3, 3), (3, 5),
-         (5, 1), (5, 3), (5, 5), (7, 1), (7, 5), (7, 7)}),
-    Row("diff=5", "otherwise", "-1",
-        lambda q: q.m == 5),
+    *_cell("diff=1", lambda q: q.m == 1,
+           ("(t_2, d_2) mod 8 in {(1;1,7),(3;5,7),(5;3,5),(7;1,3)}", "+1",
+            lambda q: (q.t_u % 8, q.d_u % 8) in
+            {(1, 1), (1, 7), (3, 5), (3, 7),
+             (5, 3), (5, 5), (7, 1), (7, 3)}),
+           ("otherwise", "-1", None)),
+    *_cell("diff=2", lambda q: q.m == 2,
+           ("t_2 d_2 = 3 mod 4", "+1", lambda q: q.t_u * q.d_u % 4 == 3),
+           ("otherwise", "-1", None)),
+    *_cell("diff=3", lambda q: q.m == 3,
+           ("(t_2, d_2) mod 8 in {(1;3,5),(3;1,3),(5;1,7),(7;5,7)}", "+1",
+            lambda q: (q.t_u % 8, q.d_u % 8) in
+            {(1, 3), (1, 5), (3, 1), (3, 3),
+             (5, 1), (5, 7), (7, 5), (7, 7)}),
+           ("otherwise", "-1", None)),
+    *_cell("diff=5", lambda q: q.m == 5,
+           ("(d_2, t_2) mod 8 in {(1;1,3,7),(3;1,3,5),(5;1,3,5),(7;1,5,7)}",
+            "+1",
+            lambda q: (q.d_u % 8, q.t_u % 8) in
+            {(1, 1), (1, 3), (1, 7), (3, 1), (3, 3), (3, 5),
+             (5, 1), (5, 3), (5, 5), (7, 1), (7, 5), (7, 7)}),
+           ("otherwise", "-1", None)),
     Row("otherwise", "", "t_2 mod 4",
         lambda q: True),
 ]
@@ -380,75 +371,67 @@ T9 = [
 # -------------------------------------------------------------------- T10a
 
 T10a = [
-    Row("diff<=-2", "s_2 = 3,5 mod 8", "-1",
-        lambda q: q.diff <= -2 and q.s_u % 8 in (3, 5)),
-    Row("diff<=-2", "s_2 = 1,7 mod 8", "+1",
-        lambda q: q.diff <= -2 and q.s_u % 8 in (1, 7)),
-    Row("diff=-1", "s_2 = 1,7 mod 8, t_2 = 1 mod 4", "+1",
-        lambda q: q.diff == -1 and q.s_u % 8 in (1, 7) and q.t_u % 4 == 1),
-    Row("diff=-1", "s_2 = 3,5 mod 8, t_2 = 3 mod 4", "+1",
-        lambda q: q.diff == -1 and q.s_u % 8 in (3, 5) and q.t_u % 4 == 3),
-    Row("diff=-1", "otherwise", "-1",
-        lambda q: q.diff == -1),
-    Row("diff=1", "s_2 = 1 mod 4, t_2 = 1,7 mod 8", "+1",
-        lambda q: q.diff == 1 and q.s_u % 4 == 1 and q.t_u % 8 in (1, 7)),
-    Row("diff=1", "s_2 = 3 mod 4, t_2 = 1,3 mod 8", "+1",
-        lambda q: q.diff == 1 and q.s_u % 4 == 3 and q.t_u % 8 in (1, 3)),
-    Row("diff=1", "otherwise", "-1",
-        lambda q: q.diff == 1),
-    Row("diff=5", "t_2 = 1,5,7 mod 8", "+1",
-        lambda q: q.diff == 5 and q.t_u % 8 in (1, 5, 7)),
-    Row("diff=5", "otherwise", "-1",
-        lambda q: q.diff == 5),
-    Row("diff=1mod4>5", "t_2 = 7 mod 8", "+1",
-        lambda q: q.diff > 5 and q.diff % 4 == 1 and q.t_u % 8 == 7),
-    Row("diff=1mod4>5", "otherwise", "-1",
-        lambda q: q.diff > 5 and q.diff % 4 == 1),
-    Row("diff=3", "s_2 = 3 mod 4", "+1",
-        lambda q: q.diff == 3 and q.s_u % 4 == 3),
-    Row("diff=3", "s_2 = 1 mod 4", "-1",
-        lambda q: q.diff == 3 and q.s_u % 4 == 1),
-    Row("diff=3mod4>3", "t_2 = 3 mod 4", "+1",
-        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 4 == 3),
-    Row("diff=3mod4>3", "t_2 = 1 mod 4", "-1",
-        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 4 == 1),
+    *_cell("diff<=-2", lambda q: q.diff <= -2,
+           ("s_2 = 3,5 mod 8", "-1", lambda q: q.s_u % 8 in (3, 5)),
+           ("s_2 = 1,7 mod 8", "+1", lambda q: q.s_u % 8 in (1, 7))),
+    *_cell("diff=-1", lambda q: q.diff == -1,
+           ("s_2 = 1,7 mod 8, t_2 = 1 mod 4", "+1",
+            lambda q: q.s_u % 8 in (1, 7) and q.t_u % 4 == 1),
+           ("s_2 = 3,5 mod 8, t_2 = 3 mod 4", "+1",
+            lambda q: q.s_u % 8 in (3, 5) and q.t_u % 4 == 3),
+           ("otherwise", "-1", None)),
+    *_cell("diff=1", lambda q: q.diff == 1,
+           ("s_2 = 1 mod 4, t_2 = 1,7 mod 8", "+1",
+            lambda q: q.s_u % 4 == 1 and q.t_u % 8 in (1, 7)),
+           ("s_2 = 3 mod 4, t_2 = 1,3 mod 8", "+1",
+            lambda q: q.s_u % 4 == 3 and q.t_u % 8 in (1, 3)),
+           ("otherwise", "-1", None)),
+    *_cell("diff=5", lambda q: q.diff == 5,
+           ("t_2 = 1,5,7 mod 8", "+1", lambda q: q.t_u % 8 in (1, 5, 7)),
+           ("otherwise", "-1", None)),
+    *_cell("diff=1mod4>5", lambda q: q.diff > 5 and q.diff % 4 == 1,
+           ("t_2 = 7 mod 8", "+1", lambda q: q.t_u % 8 == 7),
+           ("otherwise", "-1", None)),
+    *_cell("diff=3", lambda q: q.diff == 3,
+           ("s_2 = 3 mod 4", "+1", lambda q: q.s_u % 4 == 3),
+           ("s_2 = 1 mod 4", "-1", lambda q: q.s_u % 4 == 1)),
+    *_cell("diff=3mod4>3", lambda q: q.diff > 3 and q.diff % 4 == 3,
+           ("t_2 = 3 mod 4", "+1", lambda q: q.t_u % 4 == 3),
+           ("t_2 = 1 mod 4", "-1", lambda q: q.t_u % 4 == 1)),
 ]
 
 # -------------------------------------------------------------------- T11
 
 T11 = [
-    Row("diff<-4", "s_2 = 1,3,5,9,13,15 mod 16", "+1",
-        lambda q: q.diff < -4 and q.s_u % 16 in (1, 3, 5, 9, 13, 15)),
-    Row("diff<-4", "s_2 = 7,11 mod 16", "-1",
-        lambda q: q.diff < -4 and q.s_u % 16 in (7, 11)),
-    Row("diff=-4", "s_2 = 1,5,7,9,11,13 mod 16", "+1",
-        lambda q: q.diff == -4 and q.s_u % 16 in (1, 5, 7, 9, 11, 13)),
-    Row("diff=-4", "s_2 = 3,15 mod 16", "-1",
-        lambda q: q.diff == -4 and q.s_u % 16 in (3, 15)),
-    Row("diff=-2", "s_2 = 3,7 mod 16, t_2 = 1 mod 4", "+1",
-        lambda q: q.diff == -2 and q.s_u % 16 in (3, 7) and q.t_u % 4 == 1),
-    Row("diff=-2", "s_2 = 11,15 mod 16, t_2 = 3 mod 4", "+1",
-        lambda q: q.diff == -2 and q.s_u % 16 in (11, 15) and q.t_u % 4 == 3),
-    Row("diff=-2", "otherwise", "-1",
-        lambda q: q.diff == -2),
-    Row("diff=0mod4>0", "t_2 = 3 mod 4", "+1",
-        lambda q: q.diff > 0 and q.diff % 4 == 0 and q.t_u % 4 == 3),
-    Row("diff=0mod4>0", "t_2 = 1 mod 4", "-1",
-        lambda q: q.diff > 0 and q.diff % 4 == 0 and q.t_u % 4 == 1),
-    Row("diff=2", "s_2 = 1 mod 8, t_2 = 3,5,7 mod 8", "+1",
-        lambda q: q.diff == 2 and q.s_u % 8 == 1 and q.t_u % 8 in (3, 5, 7)),
-    Row("diff=2", "s_2 = 5 mod 8, t_2 = 1,3,7 mod 8", "+1",
-        lambda q: q.diff == 2 and q.s_u % 8 == 5 and q.t_u % 8 in (1, 3, 7)),
-    Row("diff=2", "otherwise", "-1",
-        lambda q: q.diff == 2),
-    Row("diff=6", "t_2 = 3 mod 4", "+1",
-        lambda q: q.diff == 6 and q.t_u % 4 == 3),
-    Row("diff=6", "t_2 = 1 mod 4", "-1",
-        lambda q: q.diff == 6 and q.t_u % 4 == 1),
-    Row("diff=2mod4>6", "t_2 = 7 mod 8", "+1",
-        lambda q: q.diff > 6 and q.diff % 4 == 2 and q.t_u % 8 == 7),
-    Row("diff=2mod4>6", "otherwise", "-1",
-        lambda q: q.diff > 6 and q.diff % 4 == 2),
+    *_cell("diff<-4", lambda q: q.diff < -4,
+           ("s_2 = 1,3,5,9,13,15 mod 16", "+1",
+            lambda q: q.s_u % 16 in (1, 3, 5, 9, 13, 15)),
+           ("s_2 = 7,11 mod 16", "-1", lambda q: q.s_u % 16 in (7, 11))),
+    *_cell("diff=-4", lambda q: q.diff == -4,
+           ("s_2 = 1,5,7,9,11,13 mod 16", "+1",
+            lambda q: q.s_u % 16 in (1, 5, 7, 9, 11, 13)),
+           ("s_2 = 3,15 mod 16", "-1", lambda q: q.s_u % 16 in (3, 15))),
+    *_cell("diff=-2", lambda q: q.diff == -2,
+           ("s_2 = 3,7 mod 16, t_2 = 1 mod 4", "+1",
+            lambda q: q.s_u % 16 in (3, 7) and q.t_u % 4 == 1),
+           ("s_2 = 11,15 mod 16, t_2 = 3 mod 4", "+1",
+            lambda q: q.s_u % 16 in (11, 15) and q.t_u % 4 == 3),
+           ("otherwise", "-1", None)),
+    *_cell("diff=0mod4>0", lambda q: q.diff > 0 and q.diff % 4 == 0,
+           ("t_2 = 3 mod 4", "+1", lambda q: q.t_u % 4 == 3),
+           ("t_2 = 1 mod 4", "-1", lambda q: q.t_u % 4 == 1)),
+    *_cell("diff=2", lambda q: q.diff == 2,
+           ("s_2 = 1 mod 8, t_2 = 3,5,7 mod 8", "+1",
+            lambda q: q.s_u % 8 == 1 and q.t_u % 8 in (3, 5, 7)),
+           ("s_2 = 5 mod 8, t_2 = 1,3,7 mod 8", "+1",
+            lambda q: q.s_u % 8 == 5 and q.t_u % 8 in (1, 3, 7)),
+           ("otherwise", "-1", None)),
+    *_cell("diff=6", lambda q: q.diff == 6,
+           ("t_2 = 3 mod 4", "+1", lambda q: q.t_u % 4 == 3),
+           ("t_2 = 1 mod 4", "-1", lambda q: q.t_u % 4 == 1)),
+    *_cell("diff=2mod4>6", lambda q: q.diff > 6 and q.diff % 4 == 2,
+           ("t_2 = 7 mod 8", "+1", lambda q: q.t_u % 8 == 7),
+           ("otherwise", "-1", None)),
 ]
 
 # -------------------------------------------------------------------- T12
@@ -456,65 +439,58 @@ T11 = [
 T12 = [
     Row("diff=0,1,3,5mod6 !=1,3", "", "t_2 mod 4",
         lambda q: q.m > 4 and q.m % 6 in (0, 1, 3, 5)),
-    Row("diff=1", "t_2 = 1 mod 8", "+1",
-        lambda q: q.m == 1 and q.t_u % 8 == 1),
-    Row("diff=1", "t_2 = 3 mod 8", "d_2 mod 4",
-        lambda q: q.m == 1 and q.t_u % 8 == 3),
-    Row("diff=1", "t_2 = 5 mod 8", "-1",
-        lambda q: q.m == 1 and q.t_u % 8 == 5),
-    Row("diff=1", "t_2 = 7 mod 8", "-(d_2 mod 4)",
-        lambda q: q.m == 1 and q.t_u % 8 == 7),
-    Row("diff=2", "t_2 = 1 mod 4", "+1",
-        lambda q: q.m == 2 and q.t_u % 4 == 1),
-    Row("diff=2", "t_2 = 3 mod 8", "-(d_2 mod 4)",
-        lambda q: q.m == 2 and q.t_u % 8 == 3),
-    Row("diff=2", "t_2 = 7 mod 8", "-1",
-        lambda q: q.m == 2 and q.t_u % 8 == 7),
+    *_cell("diff=1", lambda q: q.m == 1,
+           ("t_2 = 1 mod 8", "+1", lambda q: q.t_u % 8 == 1),
+           ("t_2 = 3 mod 8", "d_2 mod 4", lambda q: q.t_u % 8 == 3),
+           ("t_2 = 5 mod 8", "-1", lambda q: q.t_u % 8 == 5),
+           ("t_2 = 7 mod 8", "-(d_2 mod 4)", lambda q: q.t_u % 8 == 7)),
+    *_cell("diff=2", lambda q: q.m == 2,
+           ("t_2 = 1 mod 4", "+1", lambda q: q.t_u % 4 == 1),
+           ("t_2 = 3 mod 8", "-(d_2 mod 4)", lambda q: q.t_u % 8 == 3),
+           ("t_2 = 7 mod 8", "-1", lambda q: q.t_u % 8 == 7)),
     Row("diff=2,4mod6>4", "", "-(d_2 mod 4)",
         lambda q: q.m > 4 and q.m % 6 in (2, 4)),
     Row("diff=3", "", "-1",
         lambda q: q.m == 3),
-    Row("diff=4", "(t_2, d_2) mod 8 in {(1;5),(5;1),(3;1,5,7),(7;1,3,5)}",
-        "+1",
-        lambda q: q.m == 4 and (q.t_u % 8, q.d_u % 8) in
-        {(1, 5), (5, 1), (3, 1), (3, 5), (3, 7), (7, 1), (7, 3), (7, 5)}),
-    Row("diff=4", "otherwise", "-1",
-        lambda q: q.m == 4),
+    *_cell("diff=4", lambda q: q.m == 4,
+           ("(t_2, d_2) mod 8 in {(1;5),(5;1),(3;1,5,7),(7;1,3,5)}", "+1",
+            lambda q: (q.t_u % 8, q.d_u % 8) in
+            {(1, 5), (5, 1), (3, 1), (3, 5),
+             (3, 7), (7, 1), (7, 3), (7, 5)}),
+           ("otherwise", "-1", None)),
 ]
 
 # -------------------------------------------------------------------- T10b
 
 T10b = [
-    Row("diff<=-2", "s_2 = 1,7 mod 8", "-1",
-        lambda q: q.diff <= -2 and q.s_u % 8 in (1, 7)),
-    Row("diff<=-2", "s_2 = 3,5 mod 8", "+1",
-        lambda q: q.diff <= -2 and q.s_u % 8 in (3, 5)),
-    Row("diff=-1", "s_2 = 1,3 mod 8, t_2 = 1 mod 4", "-1",
-        lambda q: q.diff == -1 and q.s_u % 8 in (1, 3) and q.t_u % 4 == 1),
-    Row("diff=-1", "s_2 = 1,3 mod 8, t_2 = 3 mod 4", "+1",
-        lambda q: q.diff == -1 and q.s_u % 8 in (1, 3) and q.t_u % 4 == 3),
-    Row("diff=-1", "s_2 = 5,7 mod 8, t_2 = 3 mod 4", "+1",
-        lambda q: q.diff == -1 and q.s_u % 8 in (5, 7) and q.t_u % 4 == 3),
-    Row("diff=-1", "s_2 = 5,7 mod 8, t_2 = 1 mod 4", "-1",
-        lambda q: q.diff == -1 and q.s_u % 8 in (5, 7) and q.t_u % 4 == 1),
-    Row("diff=1", "t_2 = s_2, s_2+2 mod 8", "+1",
-        lambda q: q.diff == 1 and q.t_u % 8 in (q.s_u % 8, (q.s_u + 2) % 8)),
-    Row("diff=1", "otherwise", "-1",
-        lambda q: q.diff == 1),
-    Row("diff=1mod4>1", "t_2 = 3 mod 4", "+1",
-        lambda q: q.diff > 1 and q.diff % 4 == 1 and q.t_u % 4 == 3),
-    Row("diff=1mod4>1", "t_2 = 1 mod 4", "-1",
-        lambda q: q.diff > 1 and q.diff % 4 == 1 and q.t_u % 4 == 1),
-    Row("diff=3", "s_2 = 1 mod 4, t_2 = 3,5 mod 8", "+1",
-        lambda q: q.diff == 3 and q.s_u % 4 == 1 and q.t_u % 8 in (3, 5)),
-    Row("diff=3", "s_2 = 3 mod 4, t_2 = 1,3 mod 8", "+1",
-        lambda q: q.diff == 3 and q.s_u % 4 == 3 and q.t_u % 8 in (1, 3)),
-    Row("diff=3", "otherwise", "-1",
-        lambda q: q.diff == 3),
-    Row("diff=3mod4>3", "t_2 = 7 mod 8", "+1",
-        lambda q: q.diff > 3 and q.diff % 4 == 3 and q.t_u % 8 == 7),
-    Row("diff=3mod4>3", "otherwise", "-1",
-        lambda q: q.diff > 3 and q.diff % 4 == 3),
+    *_cell("diff<=-2", lambda q: q.diff <= -2,
+           ("s_2 = 1,7 mod 8", "-1", lambda q: q.s_u % 8 in (1, 7)),
+           ("s_2 = 3,5 mod 8", "+1", lambda q: q.s_u % 8 in (3, 5))),
+    *_cell("diff=-1", lambda q: q.diff == -1,
+           ("s_2 = 1,3 mod 8, t_2 = 1 mod 4", "-1",
+            lambda q: q.s_u % 8 in (1, 3) and q.t_u % 4 == 1),
+           ("s_2 = 1,3 mod 8, t_2 = 3 mod 4", "+1",
+            lambda q: q.s_u % 8 in (1, 3) and q.t_u % 4 == 3),
+           ("s_2 = 5,7 mod 8, t_2 = 3 mod 4", "+1",
+            lambda q: q.s_u % 8 in (5, 7) and q.t_u % 4 == 3),
+           ("s_2 = 5,7 mod 8, t_2 = 1 mod 4", "-1",
+            lambda q: q.s_u % 8 in (5, 7) and q.t_u % 4 == 1)),
+    *_cell("diff=1", lambda q: q.diff == 1,
+           ("t_2 = s_2, s_2+2 mod 8", "+1",
+            lambda q: q.t_u % 8 in (q.s_u % 8, (q.s_u + 2) % 8)),
+           ("otherwise", "-1", None)),
+    *_cell("diff=1mod4>1", lambda q: q.diff > 1 and q.diff % 4 == 1,
+           ("t_2 = 3 mod 4", "+1", lambda q: q.t_u % 4 == 3),
+           ("t_2 = 1 mod 4", "-1", lambda q: q.t_u % 4 == 1)),
+    *_cell("diff=3", lambda q: q.diff == 3,
+           ("s_2 = 1 mod 4, t_2 = 3,5 mod 8", "+1",
+            lambda q: q.s_u % 4 == 1 and q.t_u % 8 in (3, 5)),
+           ("s_2 = 3 mod 4, t_2 = 1,3 mod 8", "+1",
+            lambda q: q.s_u % 4 == 3 and q.t_u % 8 in (1, 3)),
+           ("otherwise", "-1", None)),
+    *_cell("diff=3mod4>3", lambda q: q.diff > 3 and q.diff % 4 == 3,
+           ("t_2 = 7 mod 8", "+1", lambda q: q.t_u % 8 == 7),
+           ("otherwise", "-1", None)),
 ]
 
 

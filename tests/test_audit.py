@@ -261,6 +261,19 @@ def test_audit_record_synthetic_divergence():
     assert "no" in t1["observed"] and "row" in t1["observed"]
 
 
+def test_audit_record_constant_progression_with_the_wrong_claim(monkeypatch):
+    # W = +1 on every fibre of t = 6000u + 60 at s = -7500: a claim of -1 is
+    # refuted by the enumeration alone, so the record names no prime
+    monkeypatch.setattr(audit, "EXAMPLES",
+                        (("F", {"s": -7500}, 6000, 60, -1, 4),))
+    records = run_paper_examples()["records"]
+    assert len(records) == 1
+    rec = records[0]
+    assert rec["kind"] == "table-vs-paper-example"
+    assert rec["observed"] == "enumeration over |u| <= 60 gives [1]"
+    assert "prime" not in rec
+
+
 def _no_floats(x):
     if isinstance(x, float):
         return False

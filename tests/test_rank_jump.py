@@ -189,6 +189,8 @@ def test_forced_sign_kq_pins():
     assert forced_sign_kq(7, 7, 49)[7] is None
     # nu2(b) = 2 with nu2(a) >= 3 is a -1 lane, not a +1 one
     assert forced_sign_kq(5, 16, 4)[2] == -1
+    # nu2(b) > 3 with nu2(a) > nu2(b) + 2 is the deep -1 lane
+    assert forced_sign_kq(5, 128, 16)[2] == -1
 
 
 def test_forced_sign_kq_validation():
@@ -203,15 +205,20 @@ def test_forced_sign_kq_validation():
 
 def test_kq_route_matches_general_route():
     rng = random.Random(20260816)
+    drawn = []
     for _ in range(250):
         q = rng.choice((5, 7, 11, 13, 17, 19))
-        s = -12 * q**4
         a = (2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 3)
              * q ** rng.randint(0, 4) * rng.choice((1, 3, 5, 7, 9, 11, 13, 15))
              * rng.choice((1, -1)))
         b = (2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 3)
              * q ** rng.randint(0, 4) * rng.choice((1, 3, 5, 7, 9, 11, 13, 15))
              * rng.choice((1, -1)))
+        drawn.append((q, a, b))
+    # the draws keep nu2(a) <= 6, so the deep lane at 2 (nu2(b) > 3 and
+    # nu2(a) > nu2(b) + 2) needs fixed inputs
+    for q, a, b in drawn + [(5, 128, 16), (7, 128, -16)]:
+        s = -12 * q**4
         got = forced_sign_kq(q, a, b)
         assert set(got) == {2, 3, q}
         for p in (2, 3, q):

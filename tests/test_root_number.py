@@ -201,6 +201,9 @@ def test_singular_inputs_rejected():
                  (-972, 12, 18, 2.5), (-972, 12, 18, -1), (-972, 12, 18, True)]:
         with pytest.raises(ValueError):
             average_root_number_window(*args)
+    # the only fibre of t = u + 2, |u| <= 0, is t = 2 with t^2 = s = 4
+    with pytest.raises(ValueError, match="window contains no nonsingular fibre"):
+        average_root_number_window(4, 1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
