@@ -13,7 +13,6 @@ oracle data: every ValueError reaches ``main``, which prints it.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -180,17 +179,26 @@ def cmd_scan(args) -> int:
                   average if average is not None else "n/a"))
     if args.csv:
         base = sorted({p for r in rows for p in r["factors"]})
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["u", "t", "singular", "W"]
-                        + ["w_%d" % p for p in base])
+        col = {p: i for i, p in enumerate(base)}
+        # a union prime outside this fibre's base does not divide
+        # 6 s (t^2 - s), so its local sign is +1: a row sets only its -1s
+        ones = ["1"] * len(base)
+        # every field is an int, true/false, empty or w_<p>, so no cell
+        # needs quoting; each line is written as it is made, never the
+        # whole document, which reaches 200 MB at 10^4 rows
+        write = sys.stdout.write
+        write(",".join(["u", "t", "singular", "W"]
+                       + ["w_%d" % p for p in base]) + "\n")
         for r in rows:
             if r["singular"]:
-                writer.writerow([r["u"], r["t"], "true", ""] + [""] * len(base))
-            else:
-                # a union prime outside this fibre's base does not divide
-                # 6 s (t^2 - s), so its local sign is +1
-                writer.writerow([r["u"], r["t"], "false", r["W"]]
-                                + [r["factors"].get(p, 1) for p in base])
+                write("%d,%d,true,%s\n" % (r["u"], r["t"], "," * len(base)))
+                continue
+            cells = ones.copy()
+            for p, sign in r["factors"].items():
+                if sign == -1:
+                    cells[col[p]] = "-1"
+            write("%d,%d,false,%d,%s\n"
+                  % (r["u"], r["t"], r["W"], ",".join(cells)))
         print(summary, file=sys.stderr)
         return EXIT_OK
     for r in rows:

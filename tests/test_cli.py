@@ -8,7 +8,10 @@ script against that route, and skips where no such script is on PATH.
 """
 
 import concurrent.futures
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -17,10 +20,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rootno
 from rootno import arith, cli
-from rootno.root_number import breakdown_f
+from rootno.root_number import breakdown_f, window_breakdowns
 
 PACKAGE_ROOT = str(Path(rootno.__file__).resolve().parents[1])
 
@@ -236,6 +241,70 @@ def test_scan_csv_leaves_singular_cells_empty():
     cells = singular[0].split(",")
     assert cells[:3] == ["1", "2", "true"]
     assert all(c == "" for c in cells[3:])
+
+
+def _reference_csv(s, a, b, u_min, u_max):
+    """The scan CSV as the stdlib writer renders it from window_breakdowns."""
+    fibres = window_breakdowns(s, a, b, u_min, u_max)
+    base = sorted({p for bd in fibres if bd is not None for p in bd.factors})
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["u", "t", "singular", "W"] + ["w_%d" % p for p in base])
+    for u, bd in zip(range(u_min, u_max + 1), fibres):
+        if bd is None:
+            writer.writerow([u, a * u + b, "true", ""] + [""] * len(base))
+        else:
+            writer.writerow([u, bd.t, "false", bd.w]
+                            + [bd.factors.get(p, 1) for p in base])
+    return out.getvalue()
+
+
+@st.composite
+def _csv_windows(draw):
+    a = draw(st.integers(1, 60)) * draw(st.sampled_from((1, -1)))
+    u_min = draw(st.integers(-50, 50))
+    u_max = u_min + draw(st.integers(0, 39))
+    if draw(st.booleans()):
+        # a prime above 2^16 in 6s puts a wide prime in every row's base
+        s = -draw(st.integers(1, 30)) * draw(
+            st.sampled_from((65537, 65539, 65543, 1000003)))
+        b = draw(st.integers(-10**5, 10**5))
+    else:
+        # s = m^2: t = +-m is singular, so aim a row of the window at it
+        m = draw(st.integers(1, 300))
+        s = m * m
+        b = (draw(st.sampled_from((m, -m))) - a * draw(st.integers(u_min, u_max))
+             + draw(st.integers(-2, 2)))
+    return s, a, b, u_min, u_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(_csv_windows())
+def test_scan_csv_matches_the_stdlib_writer(window):
+    s, a, b, u_min, u_max = window
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["scan", "--s", str(s), "--a", str(a), "--b", str(b),
+                         "--u-min", str(u_min), "--u-max", str(u_max), "--csv"])
+    assert code == 0, err.getvalue()
+    assert out.getvalue() == _reference_csv(s, a, b, u_min, u_max)
+
+
+def test_scan_of_singular_rows_only_has_no_base_and_no_average(capsys):
+    # t = 2 and s = 4: the one row is singular, so no prime has a column
+    argv = ["scan", "--s", "4", "--a", "4", "--b", "2",
+            "--u-min", "0", "--u-max", "0"]
+    summary = "summary: plus=0 minus=0 singular=1 average=n/a\n"
+    assert cli.main(argv + ["--csv"]) == 0
+    assert capsys.readouterr() == ("u,t,singular,W\n0,2,true,\n", summary)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("u=0 t=2 singular\n" + summary, "")
+    assert cli.main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"] == [{"u": 0, "t": 2, "singular": True, "W": None,
+                            "factors": {}}]
+    assert doc["summary"] == {"plus": 0, "minus": 0, "singular": 1,
+                              "average": None}
 
 
 def test_scan_json_document():
