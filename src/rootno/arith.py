@@ -370,8 +370,6 @@ def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
             if g % p == 0:
                 powers[p], n = _int_valuation(p, n)
                 g //= p
-                if g == 1:
-                    break
     if n > 1:
         _split_cofactor(n, powers)
     return sign, sorted(powers.items())
@@ -629,12 +627,9 @@ def as_minus_3_square(s: int) -> Optional[int]:
 
 
 def as_minus_12_fourth(s: int) -> Optional[int]:
-    """k >= 1 with s = -12 * k**4, or None."""
-    if s >= 0 or s % 12 != 0:
+    """k >= 1 with s = -12 * k**4 = -3 * (2 * k**2)**2, or None."""
+    r = as_minus_3_square(s)
+    if r is None or r % 2:
         return None
-    m = -s // 12
-    k = math.isqrt(math.isqrt(m))
-    for cand in (k, k + 1):
-        if cand >= 1 and cand**4 == m:
-            return cand
-    return None
+    k = math.isqrt(r // 2)
+    return k if k * k == r // 2 else None

@@ -86,7 +86,7 @@ def probe_set(p: int, s: int, a: int, b: int) -> list:
         units = (1, 2, 4, 5, 7, 8)
         extra = 2
     else:
-        units = [c for c in range(1, min(p, _UNIT_CAP + 1)) if c % p]
+        units = range(1, min(p, _UNIT_CAP + 1))
         extra = 1
 
     if va <= vb:

@@ -33,11 +33,9 @@ looked up when the row is built, and a printed value with no evaluator is
 refused at import.
 
 The rows read the unit parts of s, t and t^2 - s only mod 16 at p = 2,
-mod 9 at p = 3 and through Legendre symbols mod p at p >= 5, so a row hit
-is a function of the profile's valuations and its unit parts reduced mod
-that modulus (``LocalProfile.key``). ``w_star_hit`` keeps the hit of each
-such key it has walked the rows for, up to 2^12 keys, and walks the rows
-only on a key it does not hold.
+mod 9 at p = 3 and through Legendre symbols mod p at p >= 5, so a
+LocalProfile stores them reduced mod that modulus and is itself the key of
+the one cache of row hits (``_row_hit``, up to 2^12 profiles).
 
 Known divergences between these tables and other published claims are
 deliberately NOT patched here: the rows are kept exactly as transcribed, so
@@ -49,7 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from rootno.arith import _int_valuation, _legendre, require_prime
 from rootno.families import is_singular
@@ -62,7 +61,7 @@ class TableFallthrough(Exception):
     """A dispatch table matched no row: transcription bug, never expected."""
 
 
-class LocalProfile:
+class LocalProfile(NamedTuple):
     """Valuations and unit parts of s, t and t^2 - s at one prime, and the
     first columns of the tables:
 
@@ -72,34 +71,38 @@ class LocalProfile:
 
     nu_t is math.inf and t_u is None when t = 0; every table row that
     consults t_u is unreachable in that case (guards test the valuation
-    columns first).
+    columns first). LocalProfile.of(p, s, t) is the profile of a fibre, its
+    unit parts reduced mod 16 (p = 2), 9 (p = 3) or p (p >= 5).
     """
 
-    __slots__ = ("p", "nu_s", "s_u", "nu_t", "t_u", "nu_d", "d_u",
-                 "k", "diff", "m")
+    p: int
+    nu_s: int
+    s_u: int
+    nu_t: int | float
+    t_u: int | None
+    nu_d: int
+    d_u: int
 
-    def __init__(self, p: int, s: int, t: int):
+    @classmethod
+    def of(cls, p: int, s: int, t: int) -> LocalProfile:
         require_prime(p)
         if is_singular(s, t):
             raise ValueError(f"fibre (s={s}, t={t}) is singular")
-        self.p = p
-        self.nu_s, self.s_u = _int_valuation(p, s)
+        mod = 16 if p == 2 else 9 if p == 3 else p
+        nu_s, s_u = _int_valuation(p, s)
         if t == 0:
-            self.nu_t, self.t_u = INF, None
+            nu_t, t_u = INF, None
         else:
-            self.nu_t, self.t_u = _int_valuation(p, t)
-        self.nu_d, self.d_u = _int_valuation(p, t * t - s)
-        self.k = 2 * self.nu_t - self.nu_s
-        self.diff = -self.k
-        self.m = self.nu_d - 2 * self.nu_t
+            nu_t, t_u = _int_valuation(p, t)
+            t_u %= mod
+        nu_d, d_u = _int_valuation(p, t * t - s)
+        # tuple.__new__ skips the generated __new__'s argument binding
+        return tuple.__new__(cls, (p, nu_s, s_u % mod, nu_t, t_u,
+                                   nu_d, d_u % mod))
 
-    def key(self) -> tuple:
-        """The valuations and the unit parts mod 16 (p = 2), 9 (p = 3) or p
-        (p >= 5): every guard and value of the tables reads only these."""
-        mod = 16 if self.p == 2 else 9 if self.p == 3 else self.p
-        return (self.p, self.nu_s, self.s_u % mod, self.nu_t,
-                None if self.t_u is None else self.t_u % mod,
-                self.nu_d, self.d_u % mod)
+    k = property(lambda q: 2 * q.nu_t - q.nu_s)
+    diff = property(lambda q: q.nu_s - 2 * q.nu_t)
+    m = property(lambda q: q.nu_d - 2 * q.nu_t)
 
     def leg(self, a: int) -> Sign:
         # only the tables at odd p read a Legendre symbol
@@ -529,31 +532,26 @@ class RowHit:
     sign: Sign
 
 
-# the RowHit of each LocalProfile key walked; emptied when full, which
-# keeps it bounded with no lock, as each dict operation is atomic
-_HITS: dict[tuple, RowHit] = {}
-_HITS_MAX = 1 << 12
+@lru_cache(maxsize=1 << 12)
+def _row_hit(q: LocalProfile) -> RowHit:
+    """The first row of q's table whose guard holds. A fall-through raises
+    TableFallthrough, and an exception is never cached."""
+    tid = dispatch_table(q)
+    for row in TABLES[tid]:
+        if row.guard(q):
+            return RowHit(tid, row.cell, row.row_id, row.value(q))
+    raise TableFallthrough(f"no row of {tid} matched {q}")
 
 
 def w_star_hit(p: int, s: int, t: int) -> RowHit:
     """Like w_star but reports which table row produced the sign."""
-    q = LocalProfile(p, s, t)
-    key = q.key()
-    hit = _HITS.get(key)
-    if hit is not None:
-        return hit
-    tid = dispatch_table(q)
-    for row in TABLES[tid]:
-        if row.guard(q):
-            hit = RowHit(tid, row.cell, row.row_id, row.value(q))
-            if len(_HITS) >= _HITS_MAX:
-                _HITS.clear()
-            _HITS[key] = hit
-            return hit
-    raise TableFallthrough(
-        f"no row of {tid} matched p={p}, s={s}, t={t} "
-        f"(nu_s={q.nu_s}, nu_t={q.nu_t}, nu_d={q.nu_d})"
-    )
+    q = LocalProfile.of(p, s, t)
+    try:
+        return _row_hit(q)
+    except TableFallthrough as exc:
+        raise TableFallthrough(
+            f"no row of {dispatch_table(q)} matched p={p}, s={s}, t={t} "
+            f"(nu_s={q.nu_s}, nu_t={q.nu_t}, nu_d={q.nu_d})") from exc
 
 
 def w_star(p: int, s: int, t: int) -> Sign:

@@ -357,6 +357,19 @@ def test_scan_window_bytes_are_pinned(window):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == _SCAN_GOLDEN[window]
 
 
+def test_pooled_scan_of_a_sieved_window_prints_the_pinned_bytes(
+        monkeypatch, capsys):
+    # the serial run sieves these 600 rows; two workers factor 300 rows
+    # each fibre by fibre, and must print the same bytes
+    assert 300 < arith._SIEVE_ROWS <= 600
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main(["scan", "--s", "4", "--a", "1", "--b", "-300",
+                     "--u-min", "0", "--u-max", "599", "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _SCAN_GOLDEN[("4", "1", "-300", "599", "")]
+
+
 def test_scan_refuses_a_huge_cofactor_at_its_first_row():
     # t = b + u with |t| ~ 2^143: at u = 0, t^2 + 3 is a small-prime part
     # times a 273-bit prime; at u = 1 it leaves a 284-bit composite, which

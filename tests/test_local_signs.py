@@ -12,14 +12,14 @@ import random
 
 import pytest
 
-from rootno import local_signs
-from rootno.arith import legendre
+from rootno.arith import _int_valuation, legendre
 from rootno.local_signs import (
     _VALUES,
     TABLES,
     LocalProfile,
     Row,
     TableFallthrough,
+    _row_hit,
     dispatch_table,
     w_star,
     w_star_hit,
@@ -53,15 +53,15 @@ def test_dispatch_pins():
 
 def test_profile_rejects_singular():
     with pytest.raises(ValueError):
-        LocalProfile(5, 0, 1)
+        LocalProfile.of(5, 0, 1)
     with pytest.raises(ValueError):
-        LocalProfile(5, 9, 3)
+        LocalProfile.of(5, 9, 3)
     with pytest.raises(ValueError):
-        LocalProfile(4, 5, 1)  # p not prime
+        LocalProfile.of(4, 5, 1)  # p not prime
 
 
 def test_profile_of_zero_t():
-    q = LocalProfile(5, -3, 0)
+    q = LocalProfile.of(5, -3, 0)
     assert q.nu_t == math.inf
     assert q.t_u is None
     assert q.nu_s == 0 and q.nu_d == 0
@@ -247,7 +247,7 @@ def test_every_row_reachable_and_total():
     for p, s, t in _sweep_fibres():
         if s == 0 or t * t == s:
             continue
-        q = LocalProfile(p, s, t)
+        q = LocalProfile.of(p, s, t)
         tid = dispatch_table(q)
         for i, row in enumerate(TABLES[tid]):
             if row.guard(q):
@@ -348,21 +348,10 @@ def _walk(q):
     return tid, None, None
 
 
-def _profile(p, nu_s, s_u, nu_t, t_u, nu_d, d_u):
-    """A LocalProfile with the given columns, reachable by a fibre or not."""
-    q = object.__new__(LocalProfile)
-    q.p, q.nu_s, q.s_u, q.nu_t, q.t_u, q.nu_d, q.d_u = \
-        p, nu_s, s_u, nu_t, t_u, nu_d, d_u
-    q.k = 2 * nu_t - nu_s
-    q.diff = nu_s - 2 * nu_t
-    q.m = nu_d - 2 * nu_t
-    return q
-
-
 def test_rows_read_unit_parts_only_mod_16_9_or_p():
-    # the claim w_star_hit's cache rests on: moving s_u, t_u or d_u by a
-    # multiple of M (16 at p = 2, 9 at p = 3, p at p >= 5) keeps the table,
-    # the row and the sign, or the fall-through
+    # the claim LocalProfile.of's reduction rests on: moving s_u, t_u or d_u
+    # by a multiple of M (16 at p = 2, 9 at p = 3, p at p >= 5) keeps the
+    # table, the row and the sign, or the fall-through
     rng = random.Random(RNG_SEED + 3)
     tables = set()
     for p in (2, 3, 5, 7, 11, 13):
@@ -372,42 +361,63 @@ def test_rows_read_unit_parts_only_mod_16_9_or_p():
             nu_s, nu_d = rng.randint(0, 12), rng.randint(0, 12)
             nu_t = rng.choice([math.inf] + list(range(13)))
             cols = [rng.choice(units) for _ in range(3)]
-            base = _walk(_profile(p, nu_s, cols[0], nu_t,
-                                  None if nu_t == math.inf else cols[1],
-                                  nu_d, cols[2]))
+            t_u = None if nu_t == math.inf else cols[1]
+            base = _walk(LocalProfile(p, nu_s, cols[0], nu_t, t_u,
+                                      nu_d, cols[2]))
             tables.add(base[0])
             for _ in range(3):
                 moved = [c + mod * rng.randint(-10**6, 10**6) for c in cols]
-                got = _walk(_profile(p, nu_s, moved[0], nu_t,
-                                     None if nu_t == math.inf else moved[1],
-                                     nu_d, moved[2]))
+                t_u = None if nu_t == math.inf else moved[1]
+                got = _walk(LocalProfile(p, nu_s, moved[0], nu_t, t_u,
+                                         nu_d, moved[2]))
                 assert got == base, (p, nu_s, nu_t, nu_d, cols, moved)
     assert tables == set(TABLES)
 
 
-def test_cached_hits_match_the_row_walk(monkeypatch):
+def _unreduced(p, s, t):
+    """The profile of the fibre with its unit parts as the valuation gives
+    them, not reduced mod 16, 9 or p."""
+    nu_s, s_u = _int_valuation(p, s)
+    nu_t, t_u = (math.inf, None) if t == 0 else _int_valuation(p, t)
+    nu_d, d_u = _int_valuation(p, t * t - s)
+    return LocalProfile(p, nu_s, s_u, nu_t, t_u, nu_d, d_u)
+
+
+def test_cached_hits_match_the_row_walk():
     # twice over the sweep: first into an empty cache, then out of it
-    monkeypatch.setattr(local_signs, "_HITS", {})
+    _row_hit.cache_clear()
     fibres = [f for f in _sweep_fibres() if f[1] != 0 and f[1] != f[2] ** 2]
     for _ in range(2):
         for p, s, t in fibres:
             hit = w_star_hit(p, s, t)
             assert (hit.table, hit.row_id, hit.sign) == \
-                _walk(LocalProfile(p, s, t)), (p, s, t)
+                _walk(_unreduced(p, s, t)), (p, s, t)
 
 
-def test_row_hit_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(local_signs, "_HITS", {})
+def test_row_hit_cache_is_bounded():
+    _row_hit.cache_clear()
     p = 10007
     for s in range(-1, -10**4 - 1, -1):
-        # s_u = s mod p differs for each s: 10^4 distinct keys
+        # s_u = s mod p differs for each s: 10^4 distinct profiles
         assert w_star_hit(p, s, 1).sign in (-1, 1)
-    assert 0 < len(local_signs._HITS) <= local_signs._HITS_MAX == 1 << 12
+    info = _row_hit.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 1 << 12
 
 
 def test_fallthrough_names_the_fibre(monkeypatch):
     w_star_hit(5, -3, 1)  # cached before the table is emptied
     monkeypatch.setitem(TABLES, "T3", [])
-    monkeypatch.setattr(local_signs, "_HITS", {})
+    _row_hit.cache_clear()
     with pytest.raises(TableFallthrough, match="p=5, s=-3, t=1 "):
         w_star_hit(5, -3, 1)
+
+
+def test_a_fallthrough_is_not_cached(monkeypatch):
+    # once an emptied T3 is restored, the fibre finds its row again
+    hit = w_star_hit(5, -3, 1)
+    with monkeypatch.context() as patch:
+        patch.setitem(TABLES, "T3", [])
+        _row_hit.cache_clear()
+        with pytest.raises(TableFallthrough):
+            w_star_hit(5, -3, 1)
+    assert w_star_hit(5, -3, 1) == hit
