@@ -150,6 +150,8 @@ def valuation(p: int, x: Number) -> tuple[int, Number]:
     nu may be negative and unit is a Fraction.
     """
     require_prime(p)
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValueError(f"x must be an int or Fraction, got {x!r}")
     if x == 0:
         raise ValueError("valuation of 0 is undefined here; see valuation_or_inf")
     if isinstance(x, Fraction):
@@ -216,7 +218,10 @@ def _legendre(a: int, p: int) -> int:
 
 
 def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n (binary algorithm)."""
+    """Jacobi symbol (a/n) for an int a and odd positive n (binary
+    algorithm)."""
+    if type(a) is not int:
+        raise ValueError(f"jacobi needs an int a, got {a!r}")
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"jacobi needs odd positive n, got {n!r}")
     a %= n

@@ -1,13 +1,16 @@
 """Cross-checks between the closed-form condition lists, the sign
 tables, and the worked examples shipped with them.
 
+``falsify_constancy`` looks for two fibres with opposite global sign on
+t = a*u + b, skipping singular fibres: it walks u outward from 0 for
+budget values, then budget more ascending from budget//2 + 1.
+
 ``probe_set`` builds a finite set of u values on t = a*u + b that
 reaches every guard the local sign tables can read at p: the full
 residue block mod p^J (capped), representatives of each reachable
 t-valuation in each unit class, and 2-adic/Hensel-lifted solutions of
-t^2 = s for the deep rows.  ``falsify_constancy`` scans a progression
-(skipping singular fibres) and then walks those probes looking for two
-fibres with opposite global sign.
+t^2 = s for the deep rows.  Only the tests call it, as the enumeration
+oracle for ``check_f_p``.
 
 ``run_paper_examples`` re-checks each row of ``EXAMPLES`` (the paper's
 worked examples and one synthetic cross-check) with its family's
@@ -37,6 +40,7 @@ raise FeatureDisabled.
 import json
 import os
 from functools import partial
+from itertools import chain
 from typing import Optional
 
 from .arith import (as_minus_3_square, legendre,
@@ -156,28 +160,21 @@ def _f_sign(s: int, a: int, b: int):
 def falsify_constancy(s: int, a: int, b: int, budget: int = 1000) -> Optional[tuple]:
     """Search for two fibres on t = a*u + b with opposite root number.
 
-    Scans u outward from 0 (skipping singular fibres), then walks the
-    per-prime probe sets, at most budget u values in each phase.  Returns
-    ((u1, W1), (u2, W2)) for the first opposing pair found, or None if the
-    budget is exhausted.  budget is a positive int.  When s is not
-    -3 r^2, a fibre whose t^2 - s cannot be factored raises ValueError; for
-    s = -3 r^2 root_number_f factors no fibre.
+    Walks u = 0, 1, -1, 2, -2, ... for budget values, then budget more
+    ascending from budget//2 + 1, skipping singular fibres: the window
+    -(budget-1)//2 .. budget//2 + budget.  Returns ((u1, W1), (u2, W2))
+    for the first opposing pair found, or None if the budget is exhausted.
+    budget is a positive int.  When s is not -3 r^2, a fibre whose t^2 - s
+    cannot be factored raises ValueError; for s = -3 r^2 root_number_f
+    factors no fibre.
     """
     require_nonzero_int("s", s)
     require_progression(a, b)
     require_positive_int("budget", budget)
 
-    def scan_then_probes():
-        scanned = set()
-        for u in _scan_order(budget):
-            scanned.add(u)
-            yield u
-        candidates = set()
-        for prm in primes_of_6s(s):
-            candidates.update(probe_set(prm, s, a, b))
-        yield from sorted(candidates - scanned, key=lambda x: (abs(x), x))[:budget]
-
-    first, flip = _sign_flip(_f_sign(s, a, b), scan_then_probes())
+    half = budget // 2
+    us = chain(_scan_order(budget), range(half + 1, half + 1 + budget))
+    first, flip = _sign_flip(_f_sign(s, a, b), us)
     return None if flip is None else (first, flip)
 
 

@@ -86,6 +86,8 @@ class LocalProfile(NamedTuple):
     @classmethod
     def of(cls, p: int, s: int, t: int) -> LocalProfile:
         require_prime(p)
+        if type(s) is not int or type(t) is not int:
+            raise ValueError(f"s and t must be integers, got s={s!r}, t={t!r}")
         if is_singular(s, t):
             raise ValueError(f"fibre (s={s}, t={t}) is singular")
         mod = 16 if p == 2 else 9 if p == 3 else p

@@ -62,6 +62,14 @@ def test_valuation_rejects_zero_and_bad_p():
             valuation(p, 25)
 
 
+@pytest.mark.parametrize("x", [4.5, 9.0, True, "9", None])
+def test_valuation_rejects_an_x_that_is_not_an_int_or_fraction(x):
+    # unchecked, valuation(3, 4.5) is (0, 4.5) and valuation(3, True) is
+    # (0, True)
+    with pytest.raises(ValueError, match="x must be an int or Fraction"):
+        valuation(3, x)
+
+
 def test_valuation_or_inf():
     assert valuation_or_inf(5, 0) == (math.inf, 0)
     assert valuation_or_inf(5, 50) == (2, 2)
@@ -124,6 +132,13 @@ def test_jacobi_pins():
         jacobi(5, 21 * 2)
     with pytest.raises(ValueError):
         jacobi(5, -3)
+
+
+@pytest.mark.parametrize("a", [2.5, 2.0, True, Fraction(2), "2"])
+def test_jacobi_rejects_an_a_that_is_not_an_int(a):
+    # unchecked, jacobi(2.5, 5) is 0 and jacobi(2.0, 5) is -1
+    with pytest.raises(ValueError, match="jacobi needs an int a"):
+        jacobi(a, 5)
 
 
 @given(

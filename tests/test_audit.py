@@ -97,11 +97,30 @@ def test_falsify_validation():
 
 @pytest.mark.parametrize("budget", [0, -1, True, 1.0, 2.5, "200", None])
 def test_falsify_rejects_a_budget_that_is_not_a_positive_int(budget):
-    # unchecked, a budget of -1 walks every probe but the last: 2068
-    # fibres on t = 6000u + 60, where budget=1 computes 2
+    # unchecked, a budget of -1 walks the single fibre u = 0 on
+    # t = 6000u + 60 and answers None as if it had searched; budget=1
+    # computes 2
     with pytest.raises(ValueError, match="budget must be a positive integer"):
         falsify_constancy(-7500, 6000, 60, budget)
     assert falsify_constancy(-7500, 6000, 60, 1) is None
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 200, 1365, 1366])
+def test_falsify_walks_outward_then_one_ascending_run(monkeypatch, budget):
+    # W is constant on t = 6000u + 60 and no fibre is singular, so every u
+    # of the window is computed, in walk order
+    seen = []
+
+    def recording(s, t):
+        seen.append((t - 60) // 6000)
+        return root_number_f(s, t)
+
+    monkeypatch.setattr(audit, "root_number_f", recording)
+    assert falsify_constancy(-7500, 6000, 60, budget) is None
+    outward = [0] + [u for k in range(1, budget) for u in (k, -k)]
+    half = budget // 2
+    assert seen == outward[:budget] + list(range(half + 1, half + 1 + budget))
+    assert (min(seen), max(seen)) == (-((budget - 1) // 2), half + budget)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ def test_profile_rejects_singular():
         LocalProfile.of(4, 5, 1)  # p not prime
 
 
+@pytest.mark.parametrize("s, t", [(-3, 1.5), (-3, 0.5), (-972, 18.0),
+                                  (-972.0, 18), (-3, True), (True, 1),
+                                  (-3, "1")])
+def test_profile_rejects_an_s_or_t_that_is_not_an_int(s, t):
+    # unchecked, LocalProfile.of(2, -3, 0.5) has t_u = 0.5 and d_u = 3.25,
+    # w_star(2, -3, 1.5) is -1 and w_star_hit(3, -972, 18.0) a RowHit
+    for p in (2, 3, 5):
+        for make in (LocalProfile.of, w_star_hit, w_star):
+            with pytest.raises(ValueError, match="s and t must be integers"):
+                make(p, s, t)
+
+
 def test_profile_of_zero_t():
     q = LocalProfile.of(5, -3, 0)
     assert q.nu_t == math.inf
