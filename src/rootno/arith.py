@@ -173,8 +173,9 @@ def _int_valuation(p: int, x: int) -> tuple[int, int]:
 
 
 def valuation_or_inf(p: int, x: Number) -> tuple[Union[int, float], Number]:
-    """Like valuation but maps 0 to (math.inf, 0)."""
-    if x == 0:
+    """Like valuation but maps an int or Fraction 0 to (math.inf, 0); any
+    other zero (0.0, False) raises valuation's ValueError."""
+    if x == 0 and (type(x) is int or type(x) is Fraction):
         require_prime(p)
         return math.inf, 0
     return valuation(p, x)

@@ -35,7 +35,11 @@ refused at import.
 The rows read the unit parts of s, t and t^2 - s only mod 16 at p = 2,
 mod 9 at p = 3 and through Legendre symbols mod p at p >= 5, so a
 LocalProfile stores them reduced mod that modulus and is itself the key of
-the one cache of row hits (``_row_hit``, up to 2^12 profiles).
+the one cache of row hits (``_row_hit``, up to 2^12 profiles). s's part of
+a profile (nu(s), s_u and the modulus) is derived, with the check that p is
+prime, once per (p, s) (``_s_part``, up to 2^10 pairs); ``_profile`` adds
+t's and t^2 - s's part. ``LocalProfile.of`` and ``w_star_product``, the
+product of w_star over several primes of one fibre, both build through it.
 
 Known divergences between these tables and other published claims are
 deliberately NOT patched here: the rows are kept exactly as transcribed, so
@@ -48,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from rootno.arith import _int_valuation, _legendre, require_prime
 from rootno.families import is_singular
@@ -90,17 +94,7 @@ class LocalProfile(NamedTuple):
             raise ValueError(f"s and t must be integers, got s={s!r}, t={t!r}")
         if is_singular(s, t):
             raise ValueError(f"fibre (s={s}, t={t}) is singular")
-        mod = 16 if p == 2 else 9 if p == 3 else p
-        nu_s, s_u = _int_valuation(p, s)
-        if t == 0:
-            nu_t, t_u = INF, None
-        else:
-            nu_t, t_u = _int_valuation(p, t)
-            t_u %= mod
-        nu_d, d_u = _int_valuation(p, t * t - s)
-        # tuple.__new__ skips the generated __new__'s argument binding
-        return tuple.__new__(cls, (p, nu_s, s_u % mod, nu_t, t_u,
-                                   nu_d, d_u % mod))
+        return _profile(p, t, t * t - s, _s_part(p, s))
 
     k = property(lambda q: 2 * q.nu_t - q.nu_s)
     diff = property(lambda q: q.nu_s - 2 * q.nu_t)
@@ -109,6 +103,37 @@ class LocalProfile(NamedTuple):
     def leg(self, a: int) -> Sign:
         # only the tables at odd p read a Legendre symbol
         return _legendre(a, self.p)
+
+
+@lru_cache(maxsize=1 << 10, typed=True)
+def _s_part(p: int, s: int) -> tuple[int, int, int]:
+    """(nu_p(s), s_u mod M, M), M the modulus of p's tables: 16 at p = 2,
+    9 at p = 3, p at p >= 5; s is a nonzero int. p is checked here. An
+    exception is never cached, so a p that is not prime raises on every
+    call, and the typed cache keeps 2.0 and True off the entries of 2 and 1."""
+    require_prime(p)
+    mod = 16 if p == 2 else 9 if p == 3 else p
+    nu_s, s_u = _int_valuation(p, s)
+    return nu_s, s_u % mod, mod
+
+
+def _profile(p: int, t: int, d: int,
+             s_part: tuple[int, int, int]) -> LocalProfile:
+    """The LocalProfile at p of a checked fibre with d = t^2 - s, given
+    _s_part(p, s): only t and d are reduced here."""
+    nu_s, s_u, mod = s_part
+    # most t and d are units at p: their valuation is 0 without a call
+    if t % p:
+        nu_t, t_u = 0, t % mod
+    elif t:
+        nu_t, t_u = _int_valuation(p, t)
+        t_u %= mod
+    else:
+        nu_t, t_u = INF, None
+    nu_d, d_u = (0, d) if d % p else _int_valuation(p, d)
+    # tuple.__new__ skips the generated __new__'s argument binding
+    return tuple.__new__(LocalProfile, (p, nu_s, s_u, nu_t, t_u,
+                                        nu_d, d_u % mod))
 
 
 def _sgn4(x: int) -> Sign:
@@ -545,17 +570,40 @@ def _row_hit(q: LocalProfile) -> RowHit:
     raise TableFallthrough(f"no row of {tid} matched {q}")
 
 
+def _fallthrough(q: LocalProfile, s: int, t: int) -> TableFallthrough:
+    return TableFallthrough(
+        f"no row of {dispatch_table(q)} matched p={q.p}, s={s}, t={t} "
+        f"(nu_s={q.nu_s}, nu_t={q.nu_t}, nu_d={q.nu_d})")
+
+
 def w_star_hit(p: int, s: int, t: int) -> RowHit:
     """Like w_star but reports which table row produced the sign."""
     q = LocalProfile.of(p, s, t)
     try:
         return _row_hit(q)
     except TableFallthrough as exc:
-        raise TableFallthrough(
-            f"no row of {dispatch_table(q)} matched p={p}, s={s}, t={t} "
-            f"(nu_s={q.nu_s}, nu_t={q.nu_t}, nu_d={q.nu_d})") from exc
+        raise _fallthrough(q, s, t) from exc
 
 
 def w_star(p: int, s: int, t: int) -> Sign:
     """The local sign w_p*(t) on the fibre at (s, t); always +1 or -1."""
     return w_star_hit(p, s, t).sign
+
+
+def w_star_product(s: int, primes: Iterable[int], t: int) -> Sign:
+    """prod of w_star(p, s, t) over primes, with the same checks and errors
+    except their order: s and t are checked once, p once per (p, s)
+    (``_s_part``), and t^2 - s is computed once."""
+    if type(s) is not int or type(t) is not int:
+        raise ValueError(f"s and t must be integers, got s={s!r}, t={t!r}")
+    d = t * t - s
+    if s == 0 or d == 0:
+        raise ValueError(f"fibre (s={s}, t={t}) is singular")
+    w = 1
+    try:
+        for p in primes:
+            q = _profile(p, t, d, _s_part(p, s))
+            w *= _row_hit(q).sign
+    except TableFallthrough as exc:
+        raise _fallthrough(q, s, t) from exc
+    return w

@@ -14,9 +14,11 @@ the exponent e, which factoring t^2 - s gives anyway.
 When s = -3 r^2, such a p divides t^2 + 3 r^2 and not 3 r, so -3 is a
 square mod p and (-3/p) = +1: every sign off 6 s is +1. ``root_number_f``
 then factors nothing, not even t^2 - s, nor does ``root_number_l`` when
-S = -3 r^2: W = -prod of w_p* over the primes of 6 s. ``primes_of_6s``,
-the one place those primes are derived, keeps them for the last 256
-values of s. ``breakdown_f`` still factors t^2 - s, since it lists them.
+S = -3 r^2: W = -prod of w_p* over the primes of 6 s, which
+``local_signs.w_star_product`` reads with s's part of each profile taken
+from its (p, s) cache (up to 2^10 pairs). ``primes_of_6s``, the one place
+those primes are derived, keeps them for the last 256 values of s.
+``breakdown_f`` still factors t^2 - s, since it lists them.
 
 A window of fibres t = a u + b takes its rows from arith.factorize_window.
 """
@@ -32,7 +34,7 @@ from typing import Optional, Union
 from rootno.arith import (as_minus_3_square, factorize, factorize_window,
                           require_nonzero_int)
 from rootno.families import is_singular, l_to_f
-from rootno.local_signs import w_star
+from rootno.local_signs import w_star, w_star_product
 
 Sign = int
 Number = Union[int, Fraction]
@@ -91,16 +93,14 @@ def root_number_f(s: int, t: int) -> Sign:
     if as_minus_3_square(s) is None:
         return breakdown_f(s, t).w
     # s < 0 <= t^2, so the fibre is nonsingular; t must still be an int
-    t = operator.index(t)
-    w = -1
-    for p in primes_of_6s(s):
-        w *= w_star(p, s, t)
-    return w
+    return -w_star_product(s, primes_of_6s(s), operator.index(t))
 
 
 def _reduce_l(w: Number, s: Number, v: Number, t: Number) -> tuple[int, int]:
-    """(S, T) of the twisted fibre; rejects a non-integral reduction."""
-    S, T = l_to_f(Fraction(w), Fraction(s), Fraction(v), Fraction(t))
+    """(S, T) of the twisted fibre; rejects a non-integral reduction. Only
+    arguments that are not ints become Fractions, so an all-int twist is
+    reduced in ints."""
+    S, T = l_to_f(*(x if type(x) is int else Fraction(x) for x in (w, s, v, t)))
     for x, what in ((S, "s*w^2"), (T, "w*(t^2+v)")):
         if x.denominator != 1:
             raise ValueError(f"{what} = {x} is not an integer")

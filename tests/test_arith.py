@@ -75,6 +75,20 @@ def test_valuation_or_inf():
     assert valuation_or_inf(5, 50) == (2, 2)
 
 
+@pytest.mark.parametrize("x", [0.0, False, 0.5])
+def test_valuation_or_inf_checks_the_type_of_a_zero(x):
+    # a zero that is not an int or Fraction gets valuation's error, not inf
+    with pytest.raises(ValueError, match="x must be an int or Fraction"):
+        valuation_or_inf(3, x)
+
+
+def test_valuation_or_inf_maps_an_int_or_fraction_zero_to_inf():
+    assert valuation_or_inf(3, Fraction(0)) == (math.inf, 0)
+    assert valuation_or_inf(3, 0) == (math.inf, 0)
+    with pytest.raises(ValueError, match="p must be prime"):
+        valuation_or_inf(4, 0)
+
+
 @given(
     st.sampled_from(SMALL_PRIMES),
     st.integers(min_value=-10**12, max_value=10**12).filter(lambda x: x != 0),

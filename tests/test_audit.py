@@ -20,7 +20,7 @@ from rootno.audit import (
     probe_set,
     run_paper_examples,
 )
-from rootno.constancy import check_f_p
+from rootno.constancy import check_f, check_f_p
 from rootno.families import is_singular
 from rootno.local_signs import w_star
 from rootno.root_number import breakdown_f, root_number_f
@@ -84,6 +84,35 @@ def test_falsify_factors_s_once_and_no_fibre(monkeypatch, s, a, b, expected):
     assert falsify_constancy(s, a, b, 200) == expected
     assert calls.count(s) <= 1
     assert set(calls) <= {s, 6 * abs(s)}, calls
+
+
+# the benchmark's progression grid: s = -3 r^2, t = a u + b
+_GRID = [(-3 * r * r, a, b)
+         for r in (1, 2, 3, 4, 5, 6, 7, 10, 12, 18, 25, 50)
+         for a in (1, 2, 3, 4, 8, 12, 20, 40)
+         for b in (1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 15, -15)]
+
+
+def test_witness_search_over_the_progression_grid():
+    # the counts the witness search gives with check_f's verdicts over the
+    # whole grid at the CLI's budget; the two known divergences are
+    # Constant verdicts with a witness (all C3b) and NonConstant ones
+    # without (P5 at s = -1875 and -7500)
+    constant = witnessed = constant_witnessed = unwitnessed = 0
+    for s, a, b in _GRID:
+        verdict = check_f(s, a, b)
+        witness = falsify_constancy(s, a, b, 200)
+        constant += verdict.constant
+        witnessed += witness is not None
+        if verdict.constant and witness is not None:
+            assert "C3b" in verdict.matched, (s, a, b)
+            constant_witnessed += 1
+        if not verdict.constant and witness is None:
+            assert verdict.reason.startswith("P5"), (s, a, b, verdict)
+            unwitnessed += 1
+    assert len(_GRID) == 1152
+    assert (constant, witnessed, constant_witnessed, unwitnessed) == \
+        (302, 906, 66, 10)
 
 
 def test_falsify_validation():

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from rootno.arith import _int_valuation, legendre
+from rootno.arith import _int_valuation, legendre, sqrt_mod_prime_power
 from rootno.local_signs import (
     _VALUES,
     TABLES,
@@ -20,9 +20,11 @@ from rootno.local_signs import (
     Row,
     TableFallthrough,
     _row_hit,
+    _s_part,
     dispatch_table,
     w_star,
     w_star_hit,
+    w_star_product,
 )
 
 RNG_SEED = 771203
@@ -433,3 +435,65 @@ def test_a_fallthrough_is_not_cached(monkeypatch):
         with pytest.raises(TableFallthrough):
             w_star_hit(5, -3, 1)
     assert w_star_hit(5, -3, 1) == hit
+
+
+# ------------------------------------------------------ the per-fibre kernel
+
+def _deep_7_fibres(depth: int) -> list[int]:
+    # t = 7 t' with t'^2 = -3 mod 7^depth, so nu_7(t^2 + 147) >= depth + 2
+    root = sqrt_mod_prime_power(-3 % 7**depth, 7, depth)
+    return [7 * root, -7 * root, 7 * (root + 7**depth), 7 * (7**depth - root)]
+
+
+def test_kernel_is_the_product_of_w_star():
+    fibres = [(-3 * r * r, t) for r in range(1, 13) for t in range(-40, 41)]
+    fibres += [(-147, t) for depth in (1, 3, 6, 9) for t in _deep_7_fibres(depth)]
+    assert any(_int_valuation(7, t * t + 147)[0] >= 11 for s, t in fibres)
+    for s, t in fibres:
+        primes = [2, 3] + [p for p in (5, 7, 11) if s % p == 0]
+        expected = math.prod(w_star(p, s, t) for p in primes)
+        assert w_star_product(s, primes, t) == expected, (s, t)
+        assert w_star_product(s, iter(primes), t) == expected, (s, t)
+    assert w_star_product(-3, (), 5) == 1
+
+
+@pytest.mark.parametrize("s, t", [(-3, 1.5), (-972, 18.0), (-972.0, 18),
+                                  (-3, True), (True, 1), (-3, "1")])
+def test_kernel_rejects_an_s_or_t_that_is_not_an_int(s, t):
+    with pytest.raises(ValueError, match="s and t must be integers"):
+        w_star_product(s, (2, 3), t)
+
+
+@pytest.mark.parametrize("s, t", [(0, 1), (9, 3), (9, -3)])
+def test_kernel_rejects_a_singular_fibre(s, t):
+    with pytest.raises(ValueError, match="is singular"):
+        w_star_product(s, (2, 3), t)
+
+
+def test_kernel_fallthrough_names_the_fibre(monkeypatch):
+    w_star_product(-3, (2, 3), 1)
+    monkeypatch.setitem(TABLES, "T9", [])
+    _row_hit.cache_clear()
+    with pytest.raises(TableFallthrough) as kernel:
+        w_star_product(-3, (3, 2), 1)
+    with pytest.raises(TableFallthrough) as single:
+        w_star_hit(2, -3, 1)
+    assert str(kernel.value) == str(single.value)
+    assert "p=2, s=-3, t=1 " in str(kernel.value)
+
+
+def test_s_part_cache_is_bounded_and_checks_p_on_every_miss():
+    _s_part.cache_clear()
+    for s in range(-1, -3000, -1):
+        for p in (2, 3, 5):
+            assert w_star_product(s, (p,), 1) in (-1, 1)
+    info = _s_part.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 1 << 10
+    for _ in range(2):
+        with pytest.raises(ValueError, match="p must be prime"):
+            w_star_product(-3, (2, 4), 1)
+    # the cache is typed: (2, -3) is held, (2.0, -3) and (True, -3) are not
+    assert _s_part(2, -3) == (0, 13, 16)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="p must be prime"):
+            w_star_product(-3, (bad,), 1)

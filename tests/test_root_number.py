@@ -1,6 +1,7 @@
 """Global root number: product over the factor base, twist reduction, windows."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from rootno.arith import factorize, legendre, sqrt_mod_prime_power, valuation
 from rootno.audit import falsify_constancy, run_paper_examples
 from rootno.constancy import check_f, check_f_p
 from rootno.families import is_singular, l_to_f
-from rootno.local_signs import w_star
+from rootno.local_signs import TABLES, TableFallthrough, _row_hit, w_star
 from rootno.rank_jump import rank_jump_report
 from rootno.root_number import (
     average_root_number_window,
@@ -85,6 +86,36 @@ def test_root_number_l_requires_integral_reduction():
         root_number_l(Fraction(1, 2), -12, 0, 1)
     # rational inputs with integral reduction are fine
     assert root_number_l(Fraction(7), -588, 1, 2) == 1
+
+
+@pytest.mark.parametrize("args, expected", [
+    ((7, -588, 1, 2), (-28812, 35)),
+    ((Fraction(7), Fraction(-588), Fraction(1), Fraction(2)), (-28812, 35)),
+    ((True, -3, False, 2), (-3, 4)),
+    ((-1, True, 3, True), (1, -4)),
+    ((2, Fraction(1, 4), Fraction(1, 2), 1), (1, 3)),
+    ((2, 0.25, 1, 1), (1, 4)),
+    ((Fraction(4, 2), -3, 0, 1), (-12, 2)),
+])
+def test_twist_reduction_in_ints_and_fractions(args, expected):
+    # ints stay ints; every other argument is read as a Fraction, and an
+    # integral reduction comes back as plain ints, never a bool or Fraction
+    got = root_number._reduce_l(*args)
+    assert got == expected
+    assert [type(x) for x in got] == [int, int]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((Fraction(1, 2), -3, 1, 1), "s*w^2 = -3/4 is not an integer"),
+    ((1, -3, Fraction(1, 2), 1), "w*(t^2+v) = 3/2 is not an integer"),
+    ((1, Fraction(-1, 3), 0, 0.5), "s*w^2 = -1/3 is not an integer"),
+    ((True, -3, 0, Fraction(1, 3)), "w*(t^2+v) = 1/9 is not an integer"),
+])
+def test_twist_reduction_rejects_a_non_integral_reduction(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        root_number._reduce_l(*args)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        root_number_l(*args)
 
 
 def test_root_number_l_rejects_singular():
@@ -375,6 +406,16 @@ def test_minus_3_square_route_factors_only_s(monkeypatch):
     assert calls == [-972, -28812]
     with pytest.raises(TypeError):
         root_number_f(-972, 18.0)
+
+
+def test_minus_3_square_route_names_a_fallthrough(monkeypatch):
+    # the message is w_star_hit's: the prime, the fibre and its valuations
+    root_number_f(-75, 1)
+    monkeypatch.setitem(TABLES, "T3", [])
+    _row_hit.cache_clear()
+    with pytest.raises(TableFallthrough, match=re.escape(
+            "no row of T3 matched p=5, s=-75, t=1 (nu_s=2, nu_t=0, nu_d=0)")):
+        root_number_f(-75, 1)
 
 
 def test_s_primes_cache_is_bounded():
