@@ -47,6 +47,7 @@ from rootno.root_number import (
     root_number_f,
     root_number_l,
     window_breakdowns,
+    window_signs,
 )
 
 __all__ = [
@@ -85,6 +86,7 @@ __all__ = [
     "w_star",
     "w_star_hit",
     "window_breakdowns",
+    "window_signs",
 ]
 
 __version__ = "0.1.0"

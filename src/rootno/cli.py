@@ -6,13 +6,19 @@ text/CSV/JSON), rank-jump (conditional rank prediction for the quartic
 shape), audit (re-derive the worked-example claims and print the
 divergence ledger), search (constant progressions in a box).
 
+scan's text view prints only W, so it takes its rows from window_signs,
+which at s = -3 r^2 factors nothing but s; the JSON and CSV views list
+every prime of t^2 - s and take window_breakdowns.
+
 Exit codes: 0 success, constant verdict, or empty audit ledger;
 1 non-constant verdict; 2 singular fibre; 3 audit ledger has records;
 64 usage or malformed arguments, an unfactorable fibre, or malformed
-oracle data: every ValueError reaches ``main``, which prints it.
+oracle data: every ValueError reaches ``main``, which prints it. The
+parser is built once per process.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +30,7 @@ from .audit import (FeatureDisabled, classical_cross_check, falsify_constancy,
 from .constancy import check_f, check_f_table1
 from .families import is_singular, l_to_f
 from .rank_jump import rank_jump_report
-from .root_number import breakdown_f, window_breakdowns
+from .root_number import breakdown_f, window_breakdowns, window_signs
 
 EXIT_OK = 0
 EXIT_NONCONSTANT = 1
@@ -141,29 +147,47 @@ def cmd_scan(args) -> int:
         raise ValueError("--u-min must not exceed --u-max")
     require_positive_int("--jobs", args.jobs)
     us = range(args.u_min, args.u_max + 1)
+    # only the JSON and CSV views list the primes of each row; the text
+    # view needs W alone, which window_signs reads without factoring t^2 - s
+    # at s = -3 r^2
+    listed = args.json or args.csv
+    window = window_breakdowns if listed else window_signs
     # a fork pool starts every worker at once: none beyond the rows or CPUs
     n = min(args.jobs, len(us), os.cpu_count() or 1)
     if n == 1:
-        fibres = window_breakdowns(args.s, args.a, args.b, args.u_min, args.u_max)
+        fibres = window(args.s, args.a, args.b, args.u_min, args.u_max)
     else:
         # imported here: the process pool costs about 15 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
-        # one contiguous sub-window per worker, each factored on its own;
+        # one contiguous sub-window per worker, each settled on its own;
         # the ordered map keeps the output byte-identical for any job count
         cuts = [args.u_min + len(us) * i // n for i in range(n + 1)]
         with ProcessPoolExecutor(max_workers=n) as pool:
             fibres = [bd for part in pool.map(
-                window_breakdowns, [args.s] * n, [args.a] * n, [args.b] * n,
+                window, [args.s] * n, [args.a] * n, [args.b] * n,
                 cuts[:-1], [c - 1 for c in cuts[1:]]) for bd in part]
+    signs = [bd and bd.w for bd in fibres] if listed else fibres
+    plus, minus = signs.count(1), signs.count(-1)
+    singular = signs.count(None)
+    average = Fraction(plus - minus, plus + minus) if plus + minus else None
+    summary = ("summary: plus=%d minus=%d singular=%d average=%s"
+               % (plus, minus, singular,
+                  average if average is not None else "n/a"))
+    if not listed:
+        write = sys.stdout.write
+        for u, w in zip(us, signs):
+            if w is None:
+                write("u=%d t=%d singular\n" % (u, args.a * u + args.b))
+            else:
+                write("u=%d t=%d W=%s\n"
+                      % (u, args.a * u + args.b, _sign_text(w)))
+        print(summary)
+        return EXIT_OK
     rows = [{"u": u, "t": args.a * u + args.b, "singular": True, "W": None,
              "factors": {}} if bd is None else
             {"u": u, "t": bd.t, "singular": False, "W": bd.w,
              "factors": bd.factors}
             for u, bd in zip(us, fibres)]
-    plus = sum(1 for r in rows if r["W"] == 1)
-    minus = sum(1 for r in rows if r["W"] == -1)
-    singular = sum(1 for r in rows if r["singular"])
-    average = Fraction(plus - minus, plus + minus) if plus + minus else None
     if args.json:
         doc = {
             "s": args.s, "a": args.a, "b": args.b,
@@ -174,39 +198,28 @@ def cmd_scan(args) -> int:
         }
         print(json.dumps(doc))
         return EXIT_OK
-    summary = ("summary: plus=%d minus=%d singular=%d average=%s"
-               % (plus, minus, singular,
-                  average if average is not None else "n/a"))
-    if args.csv:
-        base = sorted({p for r in rows for p in r["factors"]})
-        col = {p: i for i, p in enumerate(base)}
-        # a union prime outside this fibre's base does not divide
-        # 6 s (t^2 - s), so its local sign is +1: a row sets only its -1s
-        ones = ["1"] * len(base)
-        # every field is an int, true/false, empty or w_<p>, so no cell
-        # needs quoting; each line is written as it is made, never the
-        # whole document, which reaches 200 MB at 10^4 rows
-        write = sys.stdout.write
-        write(",".join(["u", "t", "singular", "W"]
-                       + ["w_%d" % p for p in base]) + "\n")
-        for r in rows:
-            if r["singular"]:
-                write("%d,%d,true,%s\n" % (r["u"], r["t"], "," * len(base)))
-                continue
-            cells = ones.copy()
-            for p, sign in r["factors"].items():
-                if sign == -1:
-                    cells[col[p]] = "-1"
-            write("%d,%d,false,%d,%s\n"
-                  % (r["u"], r["t"], r["W"], ",".join(cells)))
-        print(summary, file=sys.stderr)
-        return EXIT_OK
+    base = sorted({p for r in rows for p in r["factors"]})
+    col = {p: i for i, p in enumerate(base)}
+    # a union prime outside this fibre's base does not divide
+    # 6 s (t^2 - s), so its local sign is +1: a row sets only its -1s
+    ones = ["1"] * len(base)
+    # every field is an int, true/false, empty or w_<p>, so no cell
+    # needs quoting; each line is written as it is made, never the
+    # whole document, which reaches 200 MB at 10^4 rows
+    write = sys.stdout.write
+    write(",".join(["u", "t", "singular", "W"]
+                   + ["w_%d" % p for p in base]) + "\n")
     for r in rows:
         if r["singular"]:
-            print("u=%d t=%d singular" % (r["u"], r["t"]))
-        else:
-            print("u=%d t=%d W=%s" % (r["u"], r["t"], _sign_text(r["W"])))
-    print(summary)
+            write("%d,%d,true,%s\n" % (r["u"], r["t"], "," * len(base)))
+            continue
+        cells = ones.copy()
+        for p, sign in r["factors"].items():
+            if sign == -1:
+                cells[col[p]] = "-1"
+        write("%d,%d,false,%d,%s\n"
+              % (r["u"], r["t"], r["W"], ",".join(cells)))
+    print(summary, file=sys.stderr)
     return EXIT_OK
 
 
@@ -248,6 +261,7 @@ def cmd_search(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rootno", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

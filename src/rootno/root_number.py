@@ -5,9 +5,12 @@ every other prime the local sign is +1, so the finite product is the whole
 story. Twisted fibres (w, s, v; t) reduce to F-parameters first and must
 land on integers.
 
-Only the primes of 6 s go through the tables (``w_star``). At any other
-prime p of the factor base, p divides t^2 - s but not s, so nu(s) = nu(t)
-= 0 and T3 is read at k = 0, nu(t) = 0 mod 6: w_p* = (-3/p) when
+Only the primes of 6 s go through the tables, by w_star's kernel
+(``local_signs._local_sign``: s's columns from the (p, s) cache, t^2 - s
+computed once per fibre, w_star_hit's message on a fall-through), so the
+checks w_star makes are made once per fibre, not once per prime. At any
+other prime p of the factor base, p divides t^2 - s but not s, so nu(s) =
+nu(t) = 0 and T3 is read at k = 0, nu(t) = 0 mod 6: w_p* = (-3/p) when
 e = nu_p(t^2 - s) is 2 or 4 mod 6, else +1. So the sign there is read off
 the exponent e, which factoring t^2 - s gives anyway.
 
@@ -21,10 +24,12 @@ those primes are derived, keeps them for the last 256 values of s.
 ``breakdown_f`` still factors t^2 - s, since it lists them.
 
 A window of fibres t = a u + b takes its rows from arith.factorize_window.
+``window_signs``, which gives W alone, factors no row at s = -3 r^2.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +39,7 @@ from typing import Optional, Union
 from rootno.arith import (as_minus_3_square, factorize, factorize_window,
                           require_nonzero_int)
 from rootno.families import is_singular, l_to_f
-from rootno.local_signs import w_star, w_star_product
+from rootno.local_signs import _local_sign, _require_ints, w_star_product
 
 Sign = int
 Number = Union[int, Fraction]
@@ -58,28 +63,28 @@ def primes_of_6s(s: int) -> tuple[int, ...]:
 
 def _breakdown(s: int, t: int, s_primes: tuple[int, ...],
                powers: dict[int, int]) -> Breakdown:
-    """The Breakdown of the fibre (s, t), given the primes of 6 s and the
-    exponent map of t^2 - s. The tables give the sign at the primes of 6 s;
-    at any other prime p the sign is T3's at nu(s) = nu(t) = 0, which is -1
+    """The Breakdown of the nonsingular int fibre (s, t), given the primes
+    of 6 s and the exponent map of t^2 - s. The tables give the sign at the
+    primes of 6 s, through w_star's kernel with t^2 - s computed once; at
+    any other prime p the sign is T3's at nu(s) = nu(t) = 0, which is -1
     exactly when nu_p(t^2 - s) is 2 or 4 mod 6 and (-3/p) = -1, that is
     p = 2 mod 3."""
-    factors = {}
-    w = -1
-    for p in sorted(powers.keys() | s_primes):
-        if p in s_primes:
-            sign = w_star(p, s, t)
-        else:
-            sign = -1 if powers[p] % 6 in (2, 4) and p % 3 == 2 else 1
-        factors[p] = sign
-        w *= sign
-    return Breakdown(s, t, w, factors)
+    d = t * t - s
+    factors = {p: _local_sign(p, s, t, d) if p in s_primes else
+               -1 if powers[p] % 6 in (2, 4) and p % 3 == 2 else 1
+               for p in sorted(powers.keys() | s_primes)}
+    return Breakdown(s, t, -math.prod(factors.values()), factors)
 
 
 def breakdown_f(s: int, t: int) -> Breakdown:
     """The Breakdown of the fibre (s, t); rejects singular fibres."""
     if is_singular(s, t):
         raise ValueError(f"fibre (s={s}, t={t}) is singular")
-    return _breakdown(s, t, primes_of_6s(s), dict(factorize(t * t - s)[1]))
+    s_primes = primes_of_6s(s)
+    powers = dict(factorize(t * t - s)[1])
+    # factorize takes no float or Fraction, but a bool gets this far
+    _require_ints(s, t)
+    return _breakdown(s, t, s_primes, powers)
 
 
 def factor_base(s: int, t: int) -> list[int]:
@@ -119,6 +124,14 @@ def root_number_l(w: Number, s: Number, v: Number, t: Number) -> Sign:
     return root_number_f(*_reduce_l(w, s, v, t))
 
 
+def _require_window(s: int, a: int, b: int, u_min: int, u_max: int) -> None:
+    require_nonzero_int("s", s)
+    require_nonzero_int("a", a)
+    for name, x in (("b", b), ("u_min", u_min), ("u_max", u_max)):
+        if type(x) is not int:
+            raise ValueError("%s must be an integer" % name)
+
+
 def window_breakdowns(s: int, a: int, b: int, u_min: int,
                       u_max: int) -> list[Optional[Breakdown]]:
     """breakdown_f(s, a u + b) for u = u_min..u_max, None at each singular
@@ -128,15 +141,29 @@ def window_breakdowns(s: int, a: int, b: int, u_min: int,
     in order of u, so an unfactorable one raises the ValueError that
     breakdown_f raises at the first such u.
     """
-    require_nonzero_int("s", s)
-    require_nonzero_int("a", a)
-    for name, x in (("b", b), ("u_min", u_min), ("u_max", u_max)):
-        if type(x) is not int:
-            raise ValueError("%s must be an integer" % name)
+    _require_window(s, a, b, u_min, u_max)
     s_primes = primes_of_6s(s)
     return [None if powers is None else
             _breakdown(s, a * u + b, s_primes, powers) for u, powers
             in enumerate(factorize_window(s, a, b, u_min, u_max), u_min)]
+
+
+def window_signs(s: int, a: int, b: int, u_min: int,
+                 u_max: int) -> list[Optional[Sign]]:
+    """W of the fibre (s, a u + b) for u = u_min..u_max, None at each
+    singular fibre: the w of window_breakdowns, with its checks and errors.
+
+    At s = -3 r^2 no fibre is singular and nothing but s is factored: each
+    W is read at the primes of 6 s alone, as root_number_f reads it, so no
+    row can be unfactorable. Any other s reads window_breakdowns.
+    """
+    _require_window(s, a, b, u_min, u_max)
+    if as_minus_3_square(s) is None:
+        return [bd and bd.w
+                for bd in window_breakdowns(s, a, b, u_min, u_max)]
+    s_primes = primes_of_6s(s)
+    return [-w_star_product(s, s_primes, a * u + b)
+            for u in range(u_min, u_max + 1)]
 
 
 def average_root_number_window(s: int, a: int, b: int, radius: int) -> Fraction:
@@ -147,8 +174,8 @@ def average_root_number_window(s: int, a: int, b: int, radius: int) -> Fraction:
     """
     if type(radius) is not int or radius < 0:
         raise ValueError("radius must be a non-negative integer")
-    signs = [bd.w for bd in window_breakdowns(s, a, b, -radius, radius)
-             if bd is not None]
+    signs = [w for w in window_signs(s, a, b, -radius, radius)
+             if w is not None]
     if not signs:
         raise ValueError("window contains no nonsingular fibre")
     return Fraction(sum(signs), len(signs))

@@ -17,6 +17,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootno
-from rootno import arith, cli
-from rootno.root_number import breakdown_f, window_breakdowns
+from rootno import arith, cli, root_number
+from rootno.root_number import breakdown_f, root_number_f, window_breakdowns
 
 PACKAGE_ROOT = str(Path(rootno.__file__).resolve().parents[1])
 
@@ -373,16 +374,58 @@ def test_pooled_scan_of_a_sieved_window_prints_the_pinned_bytes(
 def test_scan_refuses_a_huge_cofactor_at_its_first_row():
     # t = b + u with |t| ~ 2^143: at u = 0, t^2 + 3 is a small-prime part
     # times a 273-bit prime; at u = 1 it leaves a 284-bit composite, which
-    # is refused before rho or ECM starts, and nothing reaches stdout
+    # the JSON and CSV views, which list the primes of t^2 - s, refuse
+    # before rho or ECM starts, and nothing reaches stdout
     argv = ("scan", "--s", "-3", "--a", "1",
             "--b", "8727963568087712425891397479476727340041450",
             "--u-min", "0", "--u-max", "199")
+    for fmt in ("--json", "--csv"):
+        for jobs in ("1", "2"):
+            r = run_cli(*argv, fmt, "--jobs", jobs)
+            assert r.returncode == 64
+            assert r.stdout == ""
+            assert r.stderr == ("rootno: error: refusing to split a 284-bit "
+                                "composite cofactor: the limit is 256 bits\n")
+    # the text view prints only W, which at s = -3 = -3 * 1^2 is read at
+    # the primes of 6 s alone: no row is factored, so none is refused
+    b = int(argv[6])
     for jobs in ("1", "2"):
         r = run_cli(*argv, "--jobs", jobs)
-        assert r.returncode == 64
-        assert r.stdout == ""
-        assert r.stderr == ("rootno: error: refusing to split a 284-bit "
-                            "composite cofactor: the limit is 256 bits\n")
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        lines = r.stdout.splitlines()
+        assert len(lines) == 201
+        signs = [root_number_f(-3, b + u) for u in range(200)]
+        assert lines[:200] == ["u=%d t=%d W=%s" % (u, b + u, "+1" if w == 1
+                                                   else "-1")
+                               for u, w in enumerate(signs)]
+        plus, minus = signs.count(1), signs.count(-1)
+        assert lines[200] == "summary: plus=%d minus=%d singular=0 average=%s" \
+            % (plus, minus, Fraction(plus - minus, 200))
+
+
+def test_text_scan_at_minus_3_square_factors_nothing(monkeypatch, capsys):
+    # once s = -972 is factored, the text view at s = -3 r^2 factors no
+    # row, so it prints the pinned bytes with every factoring route broken
+    # (the sieved window too, at 600 rows)
+    assert arith._SIEVE_ROWS <= 600
+    root_number.primes_of_6s(-972)
+
+    def refuse(*args):
+        raise AssertionError("factored %r" % (args,))
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(arith, "factorize_window", refuse)
+    monkeypatch.setattr(root_number, "factorize", refuse)
+    monkeypatch.setattr(root_number, "factorize_window", refuse)
+    assert cli.main(["scan", "--s", "-972", "--a", "12", "--b", "589318",
+                     "--u-min", "0", "--u-max", "499"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _SCAN_GOLDEN[("-972", "12", "589318", "499", "")]
+    assert cli.main(["scan", "--s", "-972", "--a", "12", "--b", "589318",
+                     "--u-min", "0", "--u-max", "599"]) == 0
+    assert capsys.readouterr().out.count("\n") == 601
 
 
 def test_scan_jobs_are_capped_at_the_rows(monkeypatch, capsys):
@@ -551,6 +594,29 @@ def test_search_usage():
 def test_bare_invocation_is_usage_error():
     assert run_cli().returncode == 64
     assert run_cli("frobnicate").returncode == 64
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    # in-process calls share one parser; a bad flag after a good call
+    # still exits 64 with the usage, and a good call after it still prints
+    # the pinned bytes
+    assert cli._build_parser() is cli._build_parser()
+    key = ("-972", "12", "589318", "499", "--json")
+    argv = ["scan", "--s", "-972", "--a", "12", "--b", "589318",
+            "--u-min", "0", "--u-max", "499", "--json"]
+    usage = cli._build_parser.__wrapped__().format_usage()
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_GOLDEN[key]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--frobnicate"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == usage + (
+            "rootno: error: unrecognized arguments: --frobnicate\n")
+    assert cli._build_parser.cache_info().currsize == 1
 
 
 @pytest.mark.skipif(shutil.which("rootno") is None,

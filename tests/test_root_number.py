@@ -24,6 +24,7 @@ from rootno.root_number import (
     root_number_f,
     root_number_l,
     window_breakdowns,
+    window_signs,
 )
 
 
@@ -352,6 +353,78 @@ def test_window_validation_and_empty_window():
                  (-972, 12, 18, 0, "1")]:
         with pytest.raises(ValueError):
             window_breakdowns(*args)
+
+
+# ---------------------------------------------------------------------------
+# window_signs: W alone, with nothing but s factored at s = -3 r^2
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("window", [
+    (-972, 12, 18, -40, 40),        # s = -3 r^2
+    (-972, -7, 589318, 0, 599),     # s = -3 r^2, negative a, 600 rows
+    (-3, 1, 10**9 + 7, 0, 30),
+    (4, 1, -2, -5, 5),              # singular at t = +-2
+    (4, 1, -300, 0, 599),           # sieved, singular at t = +-2
+    (-7500 * 7, -12, 1001, -20, 20),
+    (12, 5, -3, 0, 99),
+    (-972, 12, 18, 5, 4),           # empty
+])
+def test_window_signs_are_the_w_of_window_breakdowns(window):
+    assert window_signs(*window) == [
+        bd and bd.w for bd in window_breakdowns(*window)]
+
+
+def test_window_signs_sieved_window_with_negative_a():
+    # 600 rows take the sieve in window_breakdowns; at s = -3 r^2 the
+    # signs route factors no row at all
+    assert arith._SIEVE_ROWS <= 600
+    for s in (-972, -75, 13):
+        got = window_signs(s, -11, 5 * 10**5, -300, 299)
+        assert len(got) == 600
+        assert got == [root_number_f(s, -11 * u + 5 * 10**5)
+                       for u in range(-300, 300)]
+
+
+@pytest.mark.parametrize("args", [
+    (-972, 0, 18, 0, 1), (12, 0, 18, 0, 1),
+    (-972, 12, True, 0, 1), (12, 12, False, 0, 1),
+    (-972, 12, 18, 0.0, 1), (12, 12, 18, 0.0, 1),
+    (0, 12, 18, 0, 1), (-972.0, 12, 18, 0, 1), (-972, 12, 18, 0, "1"),
+])
+def test_window_signs_raise_what_window_breakdowns_raises(args):
+    with pytest.raises(ValueError) as signs:
+        window_signs(*args)
+    with pytest.raises(ValueError) as breakdowns:
+        window_breakdowns(*args)
+    assert str(signs.value) == str(breakdowns.value)
+
+
+def test_breakdown_f_refuses_a_bool_t_after_factoring():
+    with pytest.raises(ValueError, match=re.escape(
+            "s and t must be integers, got s=-972, t=True")):
+        breakdown_f(-972, True)
+    with pytest.raises(ValueError, match=re.escape(
+            "s and t must be integers, got s=True, t=5")):
+        breakdown_f(True, 5)
+    # a float reaches factorize first, which takes no float
+    with pytest.raises(TypeError):
+        breakdown_f(-972, 18.0)
+
+
+def test_breakdown_f_names_a_fallthrough_off_the_minus_3_square_route(
+        monkeypatch):
+    # s = 10 is not -3 r^2, so breakdown_f signs p = 5 through the kernel;
+    # the message and its cause are w_star_hit's
+    breakdown_f(10, 3)
+    monkeypatch.setitem(TABLES, "T3", [])
+    _row_hit.cache_clear()
+    with pytest.raises(TableFallthrough, match=re.escape(
+            "no row of T3 matched p=5, s=10, t=3 (nu_s=1, nu_t=0, nu_d=0)")
+            ) as exc:
+        breakdown_f(10, 3)
+    assert str(exc.value.__cause__) == (
+        "no row of T3 matched LocalProfile(p=5, nu_s=1, s_u=2, nu_t=0, "
+        "t_u=3, nu_d=0, d_u=4)")
 
 
 # ---------------------------------------------------------------------------
