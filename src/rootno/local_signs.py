@@ -39,9 +39,8 @@ the one cache of row hits (``_row_hit``, up to 2^12 profiles). s's part of
 a profile (nu(s), s_u and the modulus) is derived, with the check that p is
 prime, once per (p, s) (``_s_part``, up to 2^10 pairs); ``_profile`` adds
 t's and t^2 - s's part. ``LocalProfile.of`` builds through it, and so does
-``_local_sign``, the sign at p of a checked fibre given t^2 - s, which
-``w_star_product`` (the product of w_star over several primes of one
-fibre) and root_number's breakdowns read.
+``_sign_product``, the one kernel that signs the primes of 6 s for
+root_number.
 
 Known divergences between these tables and other published claims are
 deliberately NOT patched here: the rows are kept exactly as transcribed, so
@@ -597,29 +596,10 @@ def w_star(p: int, s: int, t: int) -> Sign:
     return w_star_hit(p, s, t).sign
 
 
-def _local_sign(p: int, s: int, t: int, d: int) -> Sign:
-    """w_star(p, s, t) of a checked int fibre with d = t^2 - s, s's columns
-    read from _s_part, as w_star_product reads each of its primes; a
-    fall-through raises w_star_hit's message. root_number's breakdowns
-    sign the primes of 6 s through it."""
-    q = _profile(p, t, d, _s_part(p, s))
-    try:
-        return _row_hit(q).sign
-    except TableFallthrough as exc:
-        raise _fallthrough(q, s, t) from exc
-
-
-def w_star_product(s: int, primes: Iterable[int], t: int) -> Sign:
-    """prod of w_star(p, s, t) over primes, with the same checks and errors
-    except their order: s and t are checked once, p once per (p, s)
-    (``_s_part``), and t^2 - s is computed once."""
-    # the int check and _local_sign's body are written out: this loop signs
-    # every fibre of a witness walk, which calling them slowed by about 4%
-    if type(s) is not int or type(t) is not int:
-        raise ValueError(f"s and t must be integers, got s={s!r}, t={t!r}")
-    d = t * t - s
-    if s == 0 or d == 0:
-        raise ValueError(f"fibre (s={s}, t={t}) is singular")
+def _sign_product(s: int, primes: Iterable[int], t: int, d: int) -> Sign:
+    """prod of w_star(p, s, t) over primes, unchecked: s and t are ints of
+    a nonsingular fibre and d = t^2 - s. _s_part checks each p, and a
+    fall-through raises w_star_hit's message."""
     w = 1
     try:
         for p in primes:

@@ -5,23 +5,19 @@ every other prime the local sign is +1, so the finite product is the whole
 story. Twisted fibres (w, s, v; t) reduce to F-parameters first and must
 land on integers.
 
-Only the primes of 6 s go through the tables, by w_star's kernel
-(``local_signs._local_sign``: s's columns from the (p, s) cache, t^2 - s
-computed once per fibre, w_star_hit's message on a fall-through), so the
-checks w_star makes are made once per fibre, not once per prime. At any
-other prime p of the factor base, p divides t^2 - s but not s, so nu(s) =
-nu(t) = 0 and T3 is read at k = 0, nu(t) = 0 mod 6: w_p* = (-3/p) when
-e = nu_p(t^2 - s) is 2 or 4 mod 6, else +1. So the sign there is read off
-the exponent e, which factoring t^2 - s gives anyway.
+Only the primes of 6 s go through the tables, all by one kernel,
+``local_signs._sign_product``. At any other prime p of the factor base, p
+divides t^2 - s but not s, so nu(s) = nu(t) = 0 and T3 is read at k = 0,
+nu(t) = 0 mod 6: w_p* = (-3/p) when e = nu_p(t^2 - s) is 2 or 4 mod 6,
+else +1. So the sign there is read off the exponent e, which factoring
+t^2 - s gives anyway.
 
 When s = -3 r^2, such a p divides t^2 + 3 r^2 and not 3 r, so -3 is a
 square mod p and (-3/p) = +1: every sign off 6 s is +1. ``root_number_f``
 then factors nothing, not even t^2 - s, nor does ``root_number_l`` when
-S = -3 r^2: W = -prod of w_p* over the primes of 6 s, which
-``local_signs.w_star_product`` reads with s's part of each profile taken
-from its (p, s) cache (up to 2^10 pairs). ``primes_of_6s``, the one place
-those primes are derived, keeps them for the last 256 values of s.
-``breakdown_f`` still factors t^2 - s, since it lists them.
+S = -3 r^2: W is read at the primes of 6 s alone. ``primes_of_6s``, the
+one place those primes are derived, keeps them for the last 256 values of
+s. ``breakdown_f`` still factors t^2 - s, since it lists them.
 
 A window of fibres t = a u + b takes its rows from arith.factorize_window.
 ``window_signs``, which gives W alone, factors no row at s = -3 r^2.
@@ -30,7 +26,6 @@ A window of fibres t = a u + b takes its rows from arith.factorize_window.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +34,7 @@ from typing import Optional, Union
 from rootno.arith import (as_minus_3_square, factorize, factorize_window,
                           require_nonzero_int)
 from rootno.families import is_singular, l_to_f
-from rootno.local_signs import _local_sign, _require_ints, w_star_product
+from rootno.local_signs import _require_ints, _sign_product
 
 Sign = int
 Number = Union[int, Fraction]
@@ -65,12 +60,12 @@ def _breakdown(s: int, t: int, s_primes: tuple[int, ...],
                powers: dict[int, int]) -> Breakdown:
     """The Breakdown of the nonsingular int fibre (s, t), given the primes
     of 6 s and the exponent map of t^2 - s. The tables give the sign at the
-    primes of 6 s, through w_star's kernel with t^2 - s computed once; at
+    primes of 6 s, through _sign_product with t^2 - s computed once; at
     any other prime p the sign is T3's at nu(s) = nu(t) = 0, which is -1
     exactly when nu_p(t^2 - s) is 2 or 4 mod 6 and (-3/p) = -1, that is
     p = 2 mod 3."""
     d = t * t - s
-    factors = {p: _local_sign(p, s, t, d) if p in s_primes else
+    factors = {p: _sign_product(s, (p,), t, d) if p in s_primes else
                -1 if powers[p] % 6 in (2, 4) and p % 3 == 2 else 1
                for p in sorted(powers.keys() | s_primes)}
     return Breakdown(s, t, -math.prod(factors.values()), factors)
@@ -95,10 +90,10 @@ def factor_base(s: int, t: int) -> list[int]:
 def root_number_f(s: int, t: int) -> Sign:
     """W of the fibre y^2 = x^3 + 3t x^2 + 3s x + s t. For s = -3 r^2 only
     the primes of 6 s are read, so t^2 - s is not factored."""
-    if as_minus_3_square(s) is None:
+    if type(t) is not int or as_minus_3_square(s) is None:
         return breakdown_f(s, t).w
-    # s < 0 <= t^2, so the fibre is nonsingular; t must still be an int
-    return -w_star_product(s, primes_of_6s(s), operator.index(t))
+    # s < 0 <= t^2, so the fibre is nonsingular
+    return -_sign_product(s, primes_of_6s(s), t, t * t - s)
 
 
 def _reduce_l(w: Number, s: Number, v: Number, t: Number) -> tuple[int, int]:
@@ -162,8 +157,8 @@ def window_signs(s: int, a: int, b: int, u_min: int,
         return [bd and bd.w
                 for bd in window_breakdowns(s, a, b, u_min, u_max)]
     s_primes = primes_of_6s(s)
-    return [-w_star_product(s, s_primes, a * u + b)
-            for u in range(u_min, u_max + 1)]
+    return [-_sign_product(s, s_primes, t, t * t - s)
+            for t in range(a * u_min + b, a * (u_max + 1) + b, a)]
 
 
 def average_root_number_window(s: int, a: int, b: int, radius: int) -> Fraction:

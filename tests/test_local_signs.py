@@ -9,10 +9,12 @@ algebraic properties the tables must satisfy as a whole.
 
 import math
 import random
+import re
 
 import pytest
 
-from rootno.arith import _int_valuation, legendre, sqrt_mod_prime_power
+from rootno.arith import (_int_valuation, as_minus_3_square, legendre,
+                          sqrt_mod_prime_power)
 from rootno.local_signs import (
     _VALUES,
     TABLES,
@@ -21,11 +23,13 @@ from rootno.local_signs import (
     TableFallthrough,
     _row_hit,
     _s_part,
+    _sign_product,
     dispatch_table,
     w_star,
     w_star_hit,
-    w_star_product,
 )
+from rootno.root_number import (breakdown_f, root_number_f, window_breakdowns,
+                                window_signs)
 
 RNG_SEED = 771203
 
@@ -445,6 +449,12 @@ def _deep_7_fibres(depth: int) -> list[int]:
     return [7 * root, -7 * root, 7 * (root + 7**depth), 7 * (7**depth - root)]
 
 
+def _raised(f, *args):
+    with pytest.raises(Exception) as exc:
+        f(*args)
+    return type(exc.value), str(exc.value)
+
+
 def test_kernel_is_the_product_of_w_star():
     fibres = [(-3 * r * r, t) for r in range(1, 13) for t in range(-40, 41)]
     fibres += [(-147, t) for depth in (1, 3, 6, 9) for t in _deep_7_fibres(depth)]
@@ -452,30 +462,37 @@ def test_kernel_is_the_product_of_w_star():
     for s, t in fibres:
         primes = [2, 3] + [p for p in (5, 7, 11) if s % p == 0]
         expected = math.prod(w_star(p, s, t) for p in primes)
-        assert w_star_product(s, primes, t) == expected, (s, t)
-        assert w_star_product(s, iter(primes), t) == expected, (s, t)
-    assert w_star_product(-3, (), 5) == 1
+        assert _sign_product(s, primes, t, t * t - s) == expected, (s, t)
+        assert _sign_product(s, iter(primes), t, t * t - s) == expected, (s, t)
+    assert _sign_product(-3, (), 5, 28) == 1
 
 
 @pytest.mark.parametrize("s, t", [(-3, 1.5), (-972, 18.0), (-972.0, 18),
                                   (-3, True), (True, 1), (-3, "1")])
 def test_kernel_rejects_an_s_or_t_that_is_not_an_int(s, t):
-    with pytest.raises(ValueError, match="s and t must be integers"):
-        w_star_product(s, (2, 3), t)
+    # the kernel checks nothing: each route into it refuses such an s or t
+    # first, with the error of the route that factors
+    assert _raised(root_number_f, s, t) == _raised(breakdown_f, s, t)
+    window = (s, 1, t, 0, 0)
+    assert _raised(window_signs, *window) == _raised(window_breakdowns, *window)
 
 
 @pytest.mark.parametrize("s, t", [(0, 1), (9, 3), (9, -3)])
 def test_kernel_rejects_a_singular_fibre(s, t):
-    with pytest.raises(ValueError, match="is singular"):
-        w_star_product(s, (2, 3), t)
+    # a singular fibre has s = t^2 >= 0, never -3 r^2, so root_number_f
+    # hands it to breakdown_f, which refuses it before any sign is read
+    assert as_minus_3_square(s) is None
+    with pytest.raises(ValueError, match=re.escape(
+            f"fibre (s={s}, t={t}) is singular")):
+        root_number_f(s, t)
 
 
 def test_kernel_fallthrough_names_the_fibre(monkeypatch):
-    w_star_product(-3, (2, 3), 1)
+    _sign_product(-3, (2, 3), 1, 4)
     monkeypatch.setitem(TABLES, "T9", [])
     _row_hit.cache_clear()
     with pytest.raises(TableFallthrough) as kernel:
-        w_star_product(-3, (3, 2), 1)
+        _sign_product(-3, (3, 2), 1, 4)
     with pytest.raises(TableFallthrough) as single:
         w_star_hit(2, -3, 1)
     assert str(kernel.value) == str(single.value)
@@ -486,14 +503,14 @@ def test_s_part_cache_is_bounded_and_checks_p_on_every_miss():
     _s_part.cache_clear()
     for s in range(-1, -3000, -1):
         for p in (2, 3, 5):
-            assert w_star_product(s, (p,), 1) in (-1, 1)
+            assert _sign_product(s, (p,), 1, 1 - s) in (-1, 1)
     info = _s_part.cache_info()
     assert 0 < info.currsize <= info.maxsize == 1 << 10
     for _ in range(2):
         with pytest.raises(ValueError, match="p must be prime"):
-            w_star_product(-3, (2, 4), 1)
+            _sign_product(-3, (2, 4), 1, 4)
     # the cache is typed: (2, -3) is held, (2.0, -3) and (True, -3) are not
     assert _s_part(2, -3) == (0, 13, 16)
     for bad in (2.0, True):
         with pytest.raises(ValueError, match="p must be prime"):
-            w_star_product(-3, (bad,), 1)
+            _sign_product(-3, (bad,), 1, 4)

@@ -489,6 +489,22 @@ def test_minus_3_square_route_names_a_fallthrough(monkeypatch):
     with pytest.raises(TableFallthrough, match=re.escape(
             "no row of T3 matched p=5, s=-75, t=1 (nu_s=2, nu_t=0, nu_d=0)")):
         root_number_f(-75, 1)
+    # a window row reaches the kernel without root_number_f
+    with pytest.raises(TableFallthrough, match=re.escape(
+            "no row of T3 matched p=5, s=-75, t=1 (nu_s=2, nu_t=0, nu_d=0)")):
+        window_signs(-75, 1, 1, 0, 0)
+
+
+@pytest.mark.parametrize("s", [-972, 10])
+@pytest.mark.parametrize("t", [True, False, 18.0, "18", Fraction(18)])
+def test_root_number_f_refuses_a_t_that_is_not_an_int_as_breakdown_f(s, t):
+    # a bool is not taken for 1 or 0 on the s = -3 r^2 route either
+    with pytest.raises(Exception) as single:
+        root_number_f(s, t)
+    with pytest.raises(Exception) as listed:
+        breakdown_f(s, t)
+    assert type(single.value) is type(listed.value)
+    assert str(single.value) == str(listed.value)
 
 
 def test_s_primes_cache_is_bounded():
