@@ -141,8 +141,6 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    require_nonzero_int("s", args.s)
-    require_nonzero_int("a", args.a)
     if args.u_min > args.u_max:
         raise ValueError("--u-min must not exceed --u-max")
     require_positive_int("--jobs", args.jobs)
@@ -265,6 +263,10 @@ def cmd_search(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rootno", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # the fibre s and progression t = a*u + b of check, scan and rank-jump
+    progression = argparse.ArgumentParser(add_help=False)
+    for flag in ("--s", "--a", "--b"):
+        progression.add_argument(flag, type=int, required=True)
 
     p = sub.add_parser("root-number", help="root number of one fibre")
     p.add_argument("--family", choices=("f", "l"), required=True)
@@ -275,19 +277,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_root_number)
 
-    p = sub.add_parser("check", help="constancy of the sign on t = a*u + b")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("check", help="constancy of the sign on t = a*u + b",
+                       parents=[progression])
     p.add_argument("--table1", action="store_true",
                    help="also print the table-lookup route")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("scan", help="scan a window of fibres")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("scan", help="scan a window of fibres",
+                       parents=[progression])
     p.add_argument("--u-min", type=int, required=True)
     p.add_argument("--u-max", type=int, required=True)
     fmt = p.add_mutually_exclusive_group()
@@ -297,10 +295,8 @@ def _build_parser() -> _Parser:
                    help="worker processes (default: 1)")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("rank-jump", help="conditional rank-jump report")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("rank-jump", help="conditional rank-jump report",
+                       parents=[progression])
     p.set_defaults(func=cmd_rank_jump)
 
     p = sub.add_parser("audit", help="re-derive worked-example claims")

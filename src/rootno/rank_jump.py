@@ -242,9 +242,8 @@ def rank_jump_report(s: int, a: int, b: int) -> dict:
     rank.  rank_jump_predicted is True/False when the root number is
     pinned on the whole progression and "unknown" otherwise.
     """
-    require_nonzero_int("s", s)
-    require_progression(a, b)
     generic = generic_rank(s)
+    require_progression(a, b)
     report = {"s": s, "a": a, "b": b, "generic_rank": generic}
     forced_w = None
     if generic == 1:

@@ -72,14 +72,12 @@ def _breakdown(s: int, t: int, s_primes: tuple[int, ...],
 
 
 def breakdown_f(s: int, t: int) -> Breakdown:
-    """The Breakdown of the fibre (s, t); rejects singular fibres."""
+    """The Breakdown of the fibre (s, t); rejects an s or t that is not an
+    int, before any factoring, and singular fibres."""
+    _require_ints(s, t)
     if is_singular(s, t):
         raise ValueError(f"fibre (s={s}, t={t}) is singular")
-    s_primes = primes_of_6s(s)
-    powers = dict(factorize(t * t - s)[1])
-    # factorize takes no float or Fraction, but a bool gets this far
-    _require_ints(s, t)
-    return _breakdown(s, t, s_primes, powers)
+    return _breakdown(s, t, primes_of_6s(s), dict(factorize(t * t - s)[1]))
 
 
 def factor_base(s: int, t: int) -> list[int]:
@@ -89,8 +87,10 @@ def factor_base(s: int, t: int) -> list[int]:
 
 def root_number_f(s: int, t: int) -> Sign:
     """W of the fibre y^2 = x^3 + 3t x^2 + 3s x + s t. For s = -3 r^2 only
-    the primes of 6 s are read, so t^2 - s is not factored."""
-    if type(t) is not int or as_minus_3_square(s) is None:
+    the primes of 6 s are read, so t^2 - s is not factored. An s or t that
+    is not an int goes to breakdown_f, which refuses it."""
+    if (type(s) is not int or type(t) is not int
+            or as_minus_3_square(s) is None):
         return breakdown_f(s, t).w
     # s < 0 <= t^2, so the fibre is nonsingular
     return -_sign_product(s, primes_of_6s(s), t, t * t - s)
@@ -116,6 +116,9 @@ def breakdown_l(w: Number, s: Number, v: Number, t: Number) -> Breakdown:
 
 
 def root_number_l(w: Number, s: Number, v: Number, t: Number) -> Sign:
+    """W of the twisted fibre via its reduction (S, T) = (s w^2, w (t^2+v)),
+    as root_number_f reads it. The reduction must be integral and
+    nonsingular."""
     return root_number_f(*_reduce_l(w, s, v, t))
 
 

@@ -399,16 +399,24 @@ def test_window_signs_raise_what_window_breakdowns_raises(args):
     assert str(signs.value) == str(breakdowns.value)
 
 
-def test_breakdown_f_refuses_a_bool_t_after_factoring():
+def test_breakdown_f_refuses_a_bool_t_before_factoring(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             "s and t must be integers, got s=-972, t=True")):
         breakdown_f(-972, True)
     with pytest.raises(ValueError, match=re.escape(
             "s and t must be integers, got s=True, t=5")):
         breakdown_f(True, 5)
-    # a float reaches factorize first, which takes no float
-    with pytest.raises(TypeError):
-        breakdown_f(-972, 18.0)
+    # a float or bool s or t is refused before anything, s included, is
+    # factored, by root_number_f on the s = -3 r^2 route too
+    calls = []
+    monkeypatch.setattr(root_number, "factorize", calls.append)
+    root_number.primes_of_6s.cache_clear()
+    for s, t in ((-3.0, 1), (-2.0, 1), (True, 1), (-972, 18.0), (-972, True)):
+        for f in (breakdown_f, root_number_f):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"s and t must be integers, got s={s!r}, t={t!r}")):
+                f(s, t)
+    assert calls == []
 
 
 def test_breakdown_f_names_a_fallthrough_off_the_minus_3_square_route(
@@ -477,7 +485,8 @@ def test_minus_3_square_route_factors_only_s(monkeypatch):
     for t in range(-20, 21):
         root_number_l(7, -588, 1, t)
     assert calls == [-972, -28812]
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=re.escape(
+            "s and t must be integers, got s=-972, t=18.0")):
         root_number_f(-972, 18.0)
 
 
