@@ -203,7 +203,9 @@ def require_positive_int(name: str, x: int) -> None:
 # ----------------------------------------------------------------- symbols
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p: 0 if p | a, else +-1."""
+    """Legendre symbol (a/p), int a, odd prime p: 0 if p | a, else +-1."""
+    if type(a) is not int:
+        raise ValueError(f"legendre needs an int a, got {a!r}")
     require_prime(p)
     if p == 2:
         raise ValueError("legendre needs an odd prime modulus, got 2")
@@ -223,7 +225,7 @@ def jacobi(a: int, n: int) -> int:
     algorithm)."""
     if type(a) is not int:
         raise ValueError(f"jacobi needs an int a, got {a!r}")
-    if n <= 0 or n % 2 == 0:
+    if type(n) is not int or n <= 0 or n % 2 == 0:
         raise ValueError(f"jacobi needs odd positive n, got {n!r}")
     a %= n
     result = 1
@@ -353,8 +355,10 @@ def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
     whose gcd is above 1 is walked until what is left of the gcd is prime.
     The loop stops at the first block whose first prime squared exceeds what
     is left of n; what is left then has no prime factor below that point
-    and goes to _split_cofactor.
+    and goes to _split_cofactor. n must be a nonzero int.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1
@@ -519,7 +523,7 @@ def _find_factor(n: int, rng: random.Random) -> int:
                      "factors are beyond the last ECM level" % n.bit_length())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(_ECM_LEVELS))
 def _ecm_plan(B1: int) -> tuple[int, int, int, list[array]]:
     # Stage-1 multiplier k (every prime power up to B1), the stage-2 giant
     # step D, the first giant index m0, and per giant m*D (m >= m0,

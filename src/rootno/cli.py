@@ -263,7 +263,6 @@ def cmd_search(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rootno", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    # the fibre s and progression t = a*u + b of check, scan and rank-jump
     progression = argparse.ArgumentParser(add_help=False)
     for flag in ("--s", "--a", "--b"):
         progression.add_argument(flag, type=int, required=True)

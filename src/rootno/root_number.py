@@ -72,8 +72,8 @@ def _breakdown(s: int, t: int, s_primes: tuple[int, ...],
 
 
 def breakdown_f(s: int, t: int) -> Breakdown:
-    """The Breakdown of the fibre (s, t); rejects an s or t that is not an
-    int, before any factoring, and singular fibres."""
+    """The Breakdown of the fibre (s, t); rejects non-int s or t before
+    any factoring, then singular fibres."""
     _require_ints(s, t)
     if is_singular(s, t):
         raise ValueError(f"fibre (s={s}, t={t}) is singular")
@@ -116,9 +116,8 @@ def breakdown_l(w: Number, s: Number, v: Number, t: Number) -> Breakdown:
 
 
 def root_number_l(w: Number, s: Number, v: Number, t: Number) -> Sign:
-    """W of the twisted fibre via its reduction (S, T) = (s w^2, w (t^2+v)),
-    as root_number_f reads it. The reduction must be integral and
-    nonsingular."""
+    """W of the twisted fibre by root_number_f of its reduction (S, T), which
+    must be integral and nonsingular."""
     return root_number_f(*_reduce_l(w, s, v, t))
 
 

@@ -6,6 +6,7 @@ imports from the modules under test except the public kernel API.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,23 @@ def test_jacobi_rejects_an_a_that_is_not_an_int(a):
     # unchecked, jacobi(2.5, 5) is 0 and jacobi(2.0, 5) is -1
     with pytest.raises(ValueError, match="jacobi needs an int a"):
         jacobi(a, 5)
+
+
+@pytest.mark.parametrize("n", [5.0, 3.5, True, False, Fraction(5), "5"])
+def test_jacobi_rejects_an_n_that_is_not_an_int(n):
+    # unchecked, jacobi(3, 5.0) is -1 and jacobi(3, True) is 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"jacobi needs odd positive n, got {n!r}")):
+        jacobi(3, n)
+
+
+@pytest.mark.parametrize("a", [2.0, 2.5, True, False, Fraction(2), "2"])
+def test_legendre_rejects_an_a_that_is_not_an_int(a):
+    # unchecked, legendre(True, 5) is 1 and legendre(2.0, 5) raises pow's
+    # TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"legendre needs an int a, got {a!r}")):
+        legendre(a, 5)
 
 
 @given(
@@ -317,6 +335,16 @@ def test_factorize_pins():
     assert factorize(2**64 + 1) == (1, [(274177, 1), (67280421310721, 1)])
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, -2.0, 12.5, Fraction(12),
+                               "12"])
+def test_factorize_rejects_an_n_that_is_not_an_int(n):
+    # unchecked, factorize(True) and factorize(1.0) are (1, []) and
+    # factorize(-2.0) is (-1, [(2.0, 1)])
+    with pytest.raises(ValueError, match=re.escape(
+            f"n must be an int, got {n!r}")):
+        factorize(n)
 
 
 def test_factorize_cracks_a_balanced_semiprime():

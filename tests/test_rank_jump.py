@@ -162,6 +162,15 @@ def test_forced_sign_ignores_sign_of_a():
         assert forced_sign(p, s, -a, b) == forced
 
 
+@pytest.mark.parametrize("s", [S34, -12 * 6**4, S94])
+def test_forced_sign_p3_odd_gap_lane(s):
+    # nu3(b) < nu3(a) and nu3(s) - 2 nu3(b) - 1 a positive multiple of 4:
+    # nu3(s) is 5 or 9 here, which no s = -12 q^4 with q >= 5 reaches
+    for a, b in ((3, 1), (3, 2), (9, 1), (9, 4), (27, 2), (3, -1), (9, 5)):
+        assert forced_sign(3, s, a, b) == -1
+        assert {w_star(3, s, a * u + b) for u in range(-2999, 3000)} == {-1}
+
+
 def test_forced_sign_validation():
     with pytest.raises(ValueError):
         forced_sign(4, S54, 1, 1)
@@ -371,6 +380,8 @@ def test_report_key_shape():
 def test_report_validation():
     with pytest.raises(ValueError):
         rank_jump_report(0, 1, 1)
+    with pytest.raises(ValueError, match="^s must be a nonzero integer$"):
+        rank_jump_report(0, 0, 0)
     with pytest.raises(ValueError):
         rank_jump_report(-7500, 0, 1)
     with pytest.raises(ValueError):
