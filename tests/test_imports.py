@@ -55,7 +55,7 @@ def _unbounded_caches(tree: ast.Module) -> list[str]:
     keyed by arguments must not grow without bound."""
     found = []
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not isinstance(node, ast.FunctionDef):
             continue
         for dec in node.decorator_list:
             call = dec if isinstance(dec, ast.Call) else None
@@ -68,10 +68,7 @@ def _unbounded_caches(tree: ast.Module) -> list[str]:
                 if not sizes or (isinstance(sizes[0], ast.Constant)
                                  and sizes[0].value is None):
                     found.append(f"line {dec.lineno}: {node.name}")
-            elif name == "cache" and (node.args.posonlyargs or node.args.args
-                                      or node.args.vararg
-                                      or node.args.kwonlyargs
-                                      or node.args.kwarg):
+            elif name == "cache" and ast.unparse(node.args):
                 found.append(f"line {dec.lineno}: {node.name}")
     return found
 
