@@ -39,8 +39,8 @@ def _prime_flags(limit: int) -> bytearray:
 _SMALL_FLAGS = _prime_flags(_TRIAL_BOUND)
 _SMALL_PRIMES = list(itertools.compress(range(_TRIAL_BOUND + 1), _SMALL_FLAGS))
 
-# factorize takes the primes below 2^16 in blocks of consecutive primes with
-# their products, so that one gcd tells which primes of a block divide n.
+# _strip_blocks takes the primes below 2^16 in blocks of consecutive primes
+# with their products, so that one gcd tells which primes of a block divide n.
 # The first block is the 54 primes below 2^8: nearly every n has one of
 # them, and small n stop after it. The rest come _GCD_BLOCK at a time.
 _GCD_BLOCK = 128
@@ -118,11 +118,14 @@ _MR_PREFIXES = ((1373653, 2), (25326001, 3), (3215031751, 4),
 
 
 # bounded so that no input grows it without limit (2^14 entries of 95-bit
-# n take about 2.2 MB); it pays when the same cofactor is tested again
-@lru_cache(maxsize=1 << 14)
+# n take about 2.2 MB); it pays when the same cofactor is tested again.
+# Typed, so that True never reads the entry of 1
+@lru_cache(maxsize=1 << 14, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic below 2^64 (Miller-Rabin bases by size); Baillie-PSW
-    above."""
+    above. n must be an int."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 2:
         return False
     if n < _TRIAL_BOUND:
@@ -348,15 +351,9 @@ def _brent_rho(n: int, rng: random.Random, limit: int) -> int:
 
 
 def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """(sign, [(p, e), ...]) with n = sign * prod(p**e), pairs sorted by p.
-
-    The primes below the trial bound are tried a block at a time, by the gcd
-    of n with the block's product: one gcd per block, 52 at most. A block
-    whose gcd is above 1 is walked until what is left of the gcd is prime.
-    The loop stops at the first block whose first prime squared exceeds what
-    is left of n; what is left then has no prime factor below that point
-    and goes to _split_cofactor. n must be a nonzero int.
-    """
+    """(sign, [(p, e), ...]) with n = sign * prod(p**e), pairs sorted by p,
+    for a nonzero int n. What the blocks leave is 1 or a prime, or has no
+    prime factor below the trial bound, and goes to _split_cofactor."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
     if n == 0:
@@ -366,8 +363,37 @@ def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
         sign = -1
         n = -n
     powers: dict[int, int] = {}
+    n = _strip_blocks(n, powers, 2)
+    if n > 1:
+        _split_cofactor(n, powers)
+    return sign, sorted(powers.items())
+
+
+def square_full_factors(n: int) -> list[tuple[int, int]]:
+    """The (p, e) of the int n >= 1 with e >= 2, sorted by p. The blocks
+    stop where their first prime cubed exceeds what is left, m, so m below
+    _TRIAL_BOUND ** 3 is 1, p, p q or p^2: one isqrt tells. A larger m is
+    free of primes below the trial bound and is split as in factorize."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("cannot factor 0" if n == 0 else
+                         f"n must be positive, got {n!r}")
+    powers: dict[int, int] = {}
+    m = _strip_blocks(n, powers, 3)
+    if m >= _TRIAL_BOUND ** 3:
+        _split_cofactor(m, powers)
+    elif math.isqrt(m) ** 2 == m > 1:
+        powers[math.isqrt(m)] = 2
+    return sorted((p, e) for p, e in powers.items() if e > 1)
+
+
+def _strip_blocks(n: int, powers: dict, k: int) -> int:
+    """Move the block primes of n > 0 into powers, a block at a time by
+    one gcd, while the block's first prime to the k-th power is at most
+    what is left of n; return what is left."""
     for block, product in _BLOCKS:
-        if block[0] * block[0] > n:
+        if block[0] ** k > n:
             break
         g = math.gcd(product, n)
         if g == 1:
@@ -380,9 +406,7 @@ def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
             if g % p == 0:
                 powers[p], n = _int_valuation(p, n)
                 g //= p
-    if n > 1:
-        _split_cofactor(n, powers)
-    return sign, sorted(powers.items())
+    return n
 
 
 def _split_cofactor(n: int, powers: dict) -> None:
@@ -628,7 +652,9 @@ def _ecm_curve(n: int, sigma: int, B1: int) -> int:
 # ------------------------------------------------------------- shape tests
 
 def as_minus_3_square(s: int) -> Optional[int]:
-    """r >= 1 with s = -3 * r**2, or None."""
+    """r >= 1 with s = -3 * r**2, or None; s must be an int."""
+    if type(s) is not int:
+        raise ValueError(f"s must be an integer, got {s!r}")
     if s >= 0 or s % 3 != 0:
         return None
     m = -s // 3

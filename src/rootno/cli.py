@@ -7,8 +7,8 @@ shape), audit (re-derive the worked-example claims and print the
 divergence ledger), search (constant progressions in a box).
 
 scan's text view prints only W, so it takes its rows from window_signs,
-which at s = -3 r^2 factors nothing but s; the JSON and CSV views list
-every prime of t^2 - s and take window_breakdowns.
+which factors no t^2 - s in full; the JSON and CSV views list every prime
+of t^2 - s and take window_breakdowns.
 
 Exit codes: 0 success, constant verdict, or empty audit ledger;
 1 non-constant verdict; 2 singular fibre; 3 audit ledger has records;
@@ -147,7 +147,7 @@ def cmd_scan(args) -> int:
     us = range(args.u_min, args.u_max + 1)
     # only the JSON and CSV views list the primes of each row; the text
     # view needs W alone, which window_signs reads without factoring t^2 - s
-    # at s = -3 r^2
+    # in full
     listed = args.json or args.csv
     window = window_breakdowns if listed else window_signs
     # a fork pool starts every worker at once: none beyond the rows or CPUs

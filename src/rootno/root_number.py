@@ -9,18 +9,18 @@ Only the primes of 6 s go through the tables, all by one kernel,
 ``local_signs._sign_product``. At any other prime p of the factor base, p
 divides t^2 - s but not s, so nu(s) = nu(t) = 0 and T3 is read at k = 0,
 nu(t) = 0 mod 6: w_p* = (-3/p) when e = nu_p(t^2 - s) is 2 or 4 mod 6,
-else +1. So the sign there is read off the exponent e, which factoring
-t^2 - s gives anyway.
+else +1. So a prime with e = 1 never changes W: ``root_number_f`` and
+``window_signs`` read only the square-full part of t^2 - s
+(arith.square_full_factors). ``breakdown_f``, which lists every prime,
+factors t^2 - s in full.
 
 When s = -3 r^2, such a p divides t^2 + 3 r^2 and not 3 r, so -3 is a
 square mod p and (-3/p) = +1: every sign off 6 s is +1. ``root_number_f``
 then factors nothing, not even t^2 - s, nor does ``root_number_l`` when
 S = -3 r^2: W is read at the primes of 6 s alone. ``primes_of_6s``, the
 one place those primes are derived, keeps them for the last 256 values of
-s. ``breakdown_f`` still factors t^2 - s, since it lists them.
-
-A window of fibres t = a u + b takes its rows from arith.factorize_window.
-``window_signs``, which gives W alone, factors no row at s = -3 r^2.
+s. ``window_breakdowns`` factors the rows of a window by
+arith.factorize_window; ``window_signs`` signs each as root_number_f does.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from rootno.arith import (as_minus_3_square, factorize, factorize_window,
-                          require_nonzero_int)
+                          require_nonzero_int, square_full_factors)
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import _require_ints, _sign_product
 
@@ -71,12 +71,27 @@ def _breakdown(s: int, t: int, s_primes: tuple[int, ...],
     return Breakdown(s, t, -math.prod(factors.values()), factors)
 
 
-def breakdown_f(s: int, t: int) -> Breakdown:
-    """The Breakdown of the fibre (s, t); rejects non-int s or t before
-    any factoring, then singular fibres."""
+def _w(s: int, s_primes: tuple[int, ...], t: int) -> Sign:
+    """_breakdown's W of the nonsingular int fibre (s, t), s not -3 r^2,
+    from the primes of 6 s and the square-full part of t^2 - s."""
+    d = t * t - s
+    w = -1
+    for p, e in square_full_factors(abs(d)):
+        if p % 3 == 2 and e % 6 in (2, 4) and p not in s_primes:
+            w = -w
+    return w * _sign_product(s, s_primes, t, d)
+
+
+def _require_nonsingular(s: int, t: int) -> None:
     _require_ints(s, t)
     if is_singular(s, t):
         raise ValueError(f"fibre (s={s}, t={t}) is singular")
+
+
+def breakdown_f(s: int, t: int) -> Breakdown:
+    """The Breakdown of the fibre (s, t); rejects non-int s or t before
+    any factoring, then singular fibres."""
+    _require_nonsingular(s, t)
     return _breakdown(s, t, primes_of_6s(s), dict(factorize(t * t - s)[1]))
 
 
@@ -86,12 +101,13 @@ def factor_base(s: int, t: int) -> list[int]:
 
 
 def root_number_f(s: int, t: int) -> Sign:
-    """W of the fibre y^2 = x^3 + 3t x^2 + 3s x + s t. For s = -3 r^2 only
-    the primes of 6 s are read, so t^2 - s is not factored. An s or t that
-    is not an int goes to breakdown_f, which refuses it."""
+    """W of the fibre y^2 = x^3 + 3t x^2 + 3s x + s t, with breakdown_f's
+    checks and errors. For s = -3 r^2 only the primes of 6 s are read, so
+    t^2 - s is not factored; for any other s only its square-full part."""
     if (type(s) is not int or type(t) is not int
             or as_minus_3_square(s) is None):
-        return breakdown_f(s, t).w
+        _require_nonsingular(s, t)
+        return _w(s, primes_of_6s(s), t)
     # s < 0 <= t^2, so the fibre is nonsingular
     return -_sign_product(s, primes_of_6s(s), t, t * t - s)
 
@@ -150,17 +166,15 @@ def window_signs(s: int, a: int, b: int, u_min: int,
     """W of the fibre (s, a u + b) for u = u_min..u_max, None at each
     singular fibre: the w of window_breakdowns, with its checks and errors.
 
-    At s = -3 r^2 no fibre is singular and nothing but s is factored: each
-    W is read at the primes of 6 s alone, as root_number_f reads it, so no
-    row can be unfactorable. Any other s reads window_breakdowns.
+    Rows are signed in order of u as root_number_f signs them: at s = -3 r^2
+    none is singular and none can be unfactorable, as only s is factored.
     """
     _require_window(s, a, b, u_min, u_max)
-    if as_minus_3_square(s) is None:
-        return [bd and bd.w
-                for bd in window_breakdowns(s, a, b, u_min, u_max)]
     s_primes = primes_of_6s(s)
-    return [-_sign_product(s, s_primes, t, t * t - s)
-            for t in range(a * u_min + b, a * (u_max + 1) + b, a)]
+    ts = range(a * u_min + b, a * (u_max + 1) + b, a)
+    if as_minus_3_square(s) is None:
+        return [None if t * t == s else _w(s, s_primes, t) for t in ts]
+    return [-_sign_product(s, s_primes, t, t * t - s) for t in ts]
 
 
 def average_root_number_window(s: int, a: int, b: int, radius: int) -> Fraction:

@@ -23,6 +23,7 @@ from rootno.arith import (
     legendre,
     modified_jacobi,
     sqrt_mod_prime_power,
+    square_full_factors,
     valuation,
     valuation_or_inf,
 )
@@ -297,6 +298,15 @@ def test_is_prime_cache_is_bounded():
     assert is_prime.cache_info().currsize <= limit
 
 
+def test_is_prime_refuses_an_n_that_is_not_an_int():
+    # the cache is typed, so True cannot read the entry that 1 leaves
+    assert is_prime(1) is False
+    for n in (True, 7.0, "7"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n must be an int, got {n!r}")):
+            is_prime(n)
+
+
 def test_sqrt_mod_prime_power_every_small_prime():
     # each branch mod p (p = 3 mod 4, Atkin's p = 5 mod 8, Tonelli-Shanks
     # at p = 1 mod 8) and the lifts to p^2 and p^3, for every prime below
@@ -521,6 +531,96 @@ def test_factorize_round_trip_property(n):
     assert prod == n
 
 
+# ------------------------------------------------------- square-full part
+
+def _repeated(n):
+    return [(p, e) for p, e in factorize(n)[1] if e > 1]
+
+
+# primes above the trial bound, which the blocks cannot strip: a square
+# below 2^48 is told apart by isqrt, and squares, cubes, p^2 q and p q r
+# from 2^48 on go to _split_cofactor
+_SQUARE_FULL_TAILS = [
+    (), (65537,), (65537, 65539), (65537, 65537), (2147483647,) * 2,
+    (4294967311,) * 2, (1000003,) * 3, (65537,) * 4, (65537, 65537, 65539),
+    (65539, 2147483647, 2147483647), (65537, 65539, 1000003),
+    (1000003, 2147483647, 4294967311)]
+
+
+def test_square_full_factors_pins():
+    assert square_full_factors(1) == []
+    assert square_full_factors(4) == [(2, 2)]
+    assert square_full_factors(29008) == [(2, 4), (7, 2)]
+    assert square_full_factors(2 * 3 * 5 * 65537) == []
+    assert square_full_factors(12 * 65537**2) == [(2, 2), (65537, 2)]
+    assert square_full_factors(1000003**3 * 65539) == [(1000003, 3)]
+
+
+@pytest.mark.parametrize("n, message", [
+    (True, "n must be an int, got True"), (4.0, "n must be an int, got 4.0"),
+    (Fraction(4), "n must be an int, got Fraction(4, 1)"),
+    ("4", "n must be an int, got '4'"), (0, "cannot factor 0"),
+    (-4, "n must be positive, got -4")])
+def test_square_full_factors_refuses_what_is_not_a_positive_int(n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        square_full_factors(n)
+
+
+def test_square_full_factors_at_block_boundaries():
+    # the blocks stop at the first one whose first prime cubed exceeds
+    # what is left: around that cube, and around the squares and products
+    # of a block's two ends
+    for block, _ in arith._BLOCKS:
+        first, last = block[0], block[-1]
+        for m in (first**3, first * first * last, first * last * last,
+                  first * first, first * last, last**3):
+            for n in (m - 1, m, m + 1):
+                assert square_full_factors(n) == _repeated(n), n
+    for n in [65521 * 65537, 65537**2, 65521**2 * 65537, 1 << 48,
+              (1 << 48) - 1] + [65521**e for e in range(1, 6)]:
+        assert square_full_factors(n) == _repeated(n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(st.sampled_from(_BLOCK_ENDS),
+                                 st.sampled_from(_PRIMES_BELOW_2_16)),
+                       st.integers(min_value=1, max_value=4)),
+             max_size=6),
+    st.sampled_from(_SQUARE_FULL_TAILS),
+)
+def test_square_full_factors_are_the_repeated_primes_of_factorize(powers,
+                                                                  tail):
+    n = math.prod(p**e for p, e in powers) * math.prod(tail)
+    assert square_full_factors(n) == _repeated(n)
+
+
+def test_square_full_factors_split_no_cofactor_below_2_48(monkeypatch):
+    # below 2^48 what the blocks leave has at most two prime factors, so
+    # rho, ECM and BPSW are never asked; from 2^48 on the cofactor is the
+    # one factorize splits
+    split = []
+
+    def counted(m, powers):
+        split.append(m)
+        real(m, powers)
+
+    real = arith._split_cofactor
+    monkeypatch.setattr(arith, "_split_cofactor", counted)
+    fallbacks = 0
+    for tail in _SQUARE_FULL_TAILS:
+        for smooth in (1, 2**3 * 3 * 251**2, 257 * 65521):
+            n = smooth * math.prod(tail)
+            del split[:]
+            want = _repeated(n)
+            factorized = [m for m in split if m >= 1 << 48]
+            del split[:]
+            assert square_full_factors(n) == want, n
+            assert split == factorized, n
+            fallbacks += len(split)
+    assert fallbacks >= 3 * 6
+
+
 # -------------------------------------------------------------- shape tests
 
 def test_as_minus_3_square():
@@ -540,6 +640,17 @@ def test_as_minus_12_fourth():
     assert as_minus_12_fourth(-7500) == 5
     for s in [12, -48, 0, -3, -12 * 17]:
         assert as_minus_12_fourth(s) is None, s
+
+
+@pytest.mark.parametrize("s", [-3.0, -972.0, True, False, Fraction(-3),
+                               "-3"])
+def test_shape_tests_refuse_an_s_that_is_not_an_int(s):
+    # unchecked, a float s stops in math.isqrt with a TypeError and True
+    # passes as 1
+    for shape in (as_minus_3_square, as_minus_12_fourth):
+        with pytest.raises(ValueError, match=re.escape(
+                f"s must be an integer, got {s!r}")):
+            shape(s)
 
 
 def test_minus_12_fourth_is_also_minus_3_square():

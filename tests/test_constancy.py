@@ -10,6 +10,7 @@ module rather than patched).
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,26 @@ def test_progression_entry_points_reject_bool(name, a, b):
     call(8, 1)
     with pytest.raises(ValueError):
         call(a, b)
+
+
+_MINUS_3_SQUARE_CALLS = {
+    "check_f": lambda s: check_f(s, 6, 1),
+    "check_f_p": lambda s: check_f_p(2, s, 6, 1),
+    "check_f_table1": lambda s: check_f_table1(s, 6, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MINUS_3_SQUARE_CALLS))
+@pytest.mark.parametrize("s", [-972.0, -3.0, True, False, Fraction(-972),
+                               "-972"])
+def test_minus_3_square_gates_refuse_an_s_that_is_not_an_int(name, s):
+    # unchecked, a float s stops in math.isqrt with a TypeError and True
+    # passes as 1, which is not of the form -3r^2
+    call = _MINUS_3_SQUARE_CALLS[name]
+    call(-972)
+    with pytest.raises(ValueError, match=re.escape(
+            f"s must be an integer, got {s!r}")):
+        call(s)
 
 
 _NONZERO_S_CALLS = {

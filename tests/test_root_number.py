@@ -356,8 +356,12 @@ def test_window_validation_and_empty_window():
 
 
 # ---------------------------------------------------------------------------
-# window_signs: W alone, with nothing but s factored at s = -3 r^2
+# window_signs: W alone, with nothing but s factored at s = -3 r^2 and only
+# the square-full part of t^2 - s read at any other s
 # ---------------------------------------------------------------------------
+
+# the scan benchmark's window at an s that is not -3 r^2
+_SCAN_WINDOW = (-10504490, 10, 202318, 0, 499)
 
 @pytest.mark.parametrize("window", [
     (-972, 12, 18, -40, 40),        # s = -3 r^2
@@ -368,6 +372,10 @@ def test_window_validation_and_empty_window():
     (-7500 * 7, -12, 1001, -20, 20),
     (12, 5, -3, 0, 99),
     (-972, 12, 18, 5, 4),           # empty
+    _SCAN_WINDOW,
+    (-10504490, -11, 5 * 10**5, -300, 299),  # sieved, negative a
+    (13, -7, 589318, 0, 599),       # sieved, negative a
+    (4, 1, -2, -300, 299),          # sieved, singular at t = +-2
 ])
 def test_window_signs_are_the_w_of_window_breakdowns(window):
     assert window_signs(*window) == [
@@ -383,6 +391,68 @@ def test_window_signs_sieved_window_with_negative_a():
         assert len(got) == 600
         assert got == [root_number_f(s, -11 * u + 5 * 10**5)
                        for u in range(-300, 300)]
+
+
+@pytest.mark.parametrize("s", [2, -1, 5, 13, -7, 4, -10504490])
+def test_root_number_f_is_the_w_of_breakdown_f(s):
+    rng = random.Random(s)
+    ts = list(range(-200, 201)) + [rng.randrange(-10**12, 10**12)
+                                   for _ in range(40)]
+    # deep rows off 6 s, nu_p(t^2 - s) >= k, where p = 2 mod 3 flips W
+    # only at k = 2 or 4 mod 6
+    for p in (5, 11, 17):
+        if s % p and legendre(s, p) == 1:
+            for k in range(2, 14):
+                r = sqrt_mod_prime_power(s % p**k, p, k)
+                ts += [r, p**k - r, r + p**k]
+    for t in ts:
+        if is_singular(s, t):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"fibre (s={s}, t={t}) is singular")):
+                root_number_f(s, t)
+        else:
+            assert root_number_f(s, t) == breakdown_f(s, t).w, (s, t)
+
+
+def test_window_signs_off_minus_3_square_factor_no_row(monkeypatch):
+    # every t^2 - s of the scan window is below 2^48, so once the blocks
+    # stop at its cube root nothing is left for BPSW, rho or ECM, and no
+    # row is handed to factorize: only s is factored
+    s = _SCAN_WINDOW[0]
+    want = [bd and bd.w for bd in window_breakdowns(*_SCAN_WINDOW)]
+    calls = {}
+    for name in ("factorize", "is_prime", "_split_cofactor"):
+        calls[name] = log = []
+
+        def counted(*args, real=getattr(arith, name), log=log):
+            log.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(arith, name, counted)
+    monkeypatch.setattr(root_number, "factorize", arith.factorize)
+    root_number.primes_of_6s.cache_clear()
+    assert window_signs(*_SCAN_WINDOW) == want
+    assert calls["factorize"] == [s]
+    # what factoring s asks of them, and the table primes, divide 6 s
+    for name, log in calls.items():
+        assert all(6 * s % n == 0 for n in log), name
+
+
+def test_unsplittable_cofactor_off_minus_3_square_raises_as_breakdown_f(
+        monkeypatch):
+    # with one tiny ECM level, t^2 + 2 at this t leaves a 95-bit composite
+    # cofactor that nothing splits: the signs route reaches it, as
+    # factoring t^2 - s does, and raises the same error
+    monkeypatch.setattr(arith, "_ECM_LEVELS", ((10, 1),))
+    t = 870968805654166597
+    for signs, breakdowns in ((root_number_f, breakdown_f),
+                              (window_signs, window_breakdowns)):
+        args = (-2, t) if signs is root_number_f else (-2, 1, t, 0, 3)
+        with pytest.raises(ValueError, match="95-bit") as got:
+            signs(*args)
+        with pytest.raises(ValueError) as want:
+            breakdowns(*args)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("args", [
