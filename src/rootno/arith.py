@@ -1,6 +1,8 @@
 """Integer and rational arithmetic: p-adic valuations, quadratic residue
-symbols, deterministic factoring (factorize_window: a window of fibres),
-and the two shape tests (-3*r^2, -12*k^4) the fibre machinery keys on.
+symbols, deterministic factoring (factorize and square_full_factors: one
+n; factorize_window: a window of fibres, through one remainder tree or,
+on long windows, a sieve), and the two shape tests (-3*r^2, -12*k^4) the
+fibre machinery keys on.
 
 Everything here is exact integer/Fraction arithmetic; no floats except the
 math.inf sentinel for the valuation of zero.
@@ -117,15 +119,20 @@ _MR_PREFIXES = ((1373653, 2), (25326001, 3), (3215031751, 4),
                 (1 << 64, 12))
 
 
-# bounded so that no input grows it without limit (2^14 entries of 95-bit
-# n take about 2.2 MB); it pays when the same cofactor is tested again.
-# Typed, so that True never reads the entry of 1
-@lru_cache(maxsize=1 << 14, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic below 2^64 (Miller-Rabin bases by size); Baillie-PSW
     above. n must be an int."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
+    return _is_prime(n)
+
+
+# bounded so that no input grows it without limit (2^14 entries of 90-bit
+# n take about 1.4 MB); it pays when the same cofactor is tested again.
+# is_prime checks the type first, so the cache keys are bare ints and True
+# never reads the entry of 1
+@lru_cache(maxsize=1 << 14)
+def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < _TRIAL_BOUND:
@@ -142,6 +149,12 @@ def is_prime(n: int) -> bool:
     if r * r == n:
         return False
     return _lucas_spp(n)
+
+
+# the cache's handles, and the uncached test behind it
+is_prime.cache_info = _is_prime.cache_info
+is_prime.cache_clear = _is_prime.cache_clear
+is_prime.__wrapped__ = _is_prime.__wrapped__
 
 
 # --------------------------------------------------------------- valuation
@@ -352,8 +365,7 @@ def _brent_rho(n: int, rng: random.Random, limit: int) -> int:
 
 def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
     """(sign, [(p, e), ...]) with n = sign * prod(p**e), pairs sorted by p,
-    for a nonzero int n. What the blocks leave is 1 or a prime, or has no
-    prime factor below the trial bound, and goes to _split_cofactor."""
+    for a nonzero int n: the blocks, then _settle at k = 2."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
     if n == 0:
@@ -363,28 +375,21 @@ def factorize(n: int) -> tuple[int, list[tuple[int, int]]]:
         sign = -1
         n = -n
     powers: dict[int, int] = {}
-    n = _strip_blocks(n, powers, 2)
-    if n > 1:
-        _split_cofactor(n, powers)
+    _settle(_strip_blocks(n, powers, 2), powers, 2)
     return sign, sorted(powers.items())
 
 
 def square_full_factors(n: int) -> list[tuple[int, int]]:
-    """The (p, e) of the int n >= 1 with e >= 2, sorted by p. The blocks
-    stop where their first prime cubed exceeds what is left, m, so m below
-    _TRIAL_BOUND ** 3 is 1, p, p q or p^2: one isqrt tells. A larger m is
-    free of primes below the trial bound and is split as in factorize."""
+    """The (p, e) of the int n >= 1 with e >= 2, sorted by p: the blocks,
+    stopping where their first prime cubed exceeds what is left, then
+    _settle at k = 3."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("cannot factor 0" if n == 0 else
                          f"n must be positive, got {n!r}")
     powers: dict[int, int] = {}
-    m = _strip_blocks(n, powers, 3)
-    if m >= _TRIAL_BOUND ** 3:
-        _split_cofactor(m, powers)
-    elif math.isqrt(m) ** 2 == m > 1:
-        powers[math.isqrt(m)] = 2
+    _settle(_strip_blocks(n, powers, 3), powers, 3)
     return sorted((p, e) for p, e in powers.items() if e > 1)
 
 
@@ -407,6 +412,91 @@ def _strip_blocks(n: int, powers: dict, k: int) -> int:
                 powers[p], n = _int_valuation(p, n)
                 g //= p
     return n
+
+
+def _settle(m: int, powers: dict, k: int) -> None:
+    """Add to powers the primes of m, what is left of some n once the
+    primes of every block before the first one whose first prime P has P^k
+    above m are stripped: all of them at k = 2, at least those of exponent
+    2 or more at k = 3. Every prime of m is at least P, or above the trial
+    bound when no block has such a P, so m below _TRIAL_BOUND ** k is 1 or
+    a prime (k = 2), or 1, p, p q or p^2 (k = 3), where one isqrt tells
+    p^2 apart. A larger m goes to _split_cofactor."""
+    if m >= _TRIAL_BOUND ** k:
+        _split_cofactor(m, powers)
+    elif k == 2:
+        if m > 1:
+            powers[m] = 1
+    elif math.isqrt(m) ** 2 == m > 1:
+        powers[math.isqrt(m)] = 2
+
+
+def _product_tree(leaves: list[int]) -> list[list[int]]:
+    # levels from the leaves up to the root, each node the product of the
+    # two below it, an odd last one carried up alone
+    tree = [leaves]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        tree.append([math.prod(level[i:i + 2])
+                     for i in range(0, len(level), 2)])
+    return tree
+
+
+# The product of the first count blocks' products (1 for none), built on
+# first use: all 52 make about 94 kbit, and a window's k and largest row
+# pick the count
+@lru_cache(maxsize=8)
+def _block_prefix(count: int) -> int:
+    return math.prod(_product_tree([prod for _, prod in _BLOCKS[:count]])[-1])
+
+
+# _strip_window builds one tree over at most _TREE_ROWS rows at a time, so
+# that a long window holds no tree above about 100 kbit a level. Its leaves
+# are runs of _LEAF_ROWS rows: gcd(m, P mod M) = gcd(m, P) for any multiple
+# M of m, so the levels below them need not be built or descended.
+_TREE_ROWS = 1024
+_LEAF_ROWS = 16
+
+
+def _strip_window(rest: list[int], k: int) -> list[Optional[dict[int, int]]]:
+    """{p: e} for each m of rest, None where m is 0: at k = 2 every prime
+    of m, as factorize gives them, and at k = 3 at least the p^e with
+    e >= 2, as square_full_factors gives them. It takes the blocks
+    _strip_blocks takes on the largest m, those whose first prime to the
+    k-th power is at most it, which leaves every row a cofactor that
+    _settle can take. Their product P comes down one product tree of the
+    rows as remainders (Bernstein's remainder tree), so that g = gcd(m, P)
+    is the product of the block primes dividing m; dividing g out of m
+    until they are gone leaves the cofactor, and _strip_blocks splits the
+    part of m above it. Rows are settled in order, so an unfactorable one
+    raises _settle's ValueError at the first such m."""
+    out: list[Optional[dict[int, int]]] = []
+    for i in range(0, len(rest), _TREE_ROWS):
+        chunk = rest[i:i + _TREE_ROWS]
+        top = max(chunk)
+        count = sum(block[0] ** k <= top for block, _ in _BLOCKS)
+        leaves = [math.prod(m or 1 for m in chunk[j:j + _LEAF_ROWS])
+                  for j in range(0, len(chunk), _LEAF_ROWS)]
+        rems = [_block_prefix(count)]
+        for level in reversed(_product_tree(leaves)):
+            rems = [rems[j // 2] % m for j, m in enumerate(level)]
+        for j, m in enumerate(chunk):
+            if m == 0:
+                out.append(None)
+                continue
+            cofactor = m
+            g = math.gcd(m, rems[j // _LEAF_ROWS])
+            while g > 1:
+                cofactor //= g
+                g = math.gcd(cofactor, g)
+            powers: dict[int, int] = {}
+            # what the blocks leave of m's block part is 1 or a prime
+            q = _strip_blocks(m // cofactor, powers, 2)
+            if q > 1:
+                powers[q] = 1
+            _settle(cofactor, powers, k)
+            out.append(powers)
+    return out
 
 
 def _split_cofactor(n: int, powers: dict) -> None:
@@ -432,27 +522,29 @@ def _split_cofactor(n: int, powers: dict) -> None:
         stack.append((m // d, e))
 
 
-# Below this many rows a window is factored fibre by fibre. The sieve's
+# Below this many rows a window goes through _strip_window. The sieve's
 # set-up costs an Euler test per prime up to its bound (about |t|, at most
-# 2^16) and a square root for every other one, while factorize strips the
-# primes below 2^16 with one gcd per block. On 2 cores (README "Factoring")
-# the two tie between 512 and 1024 rows at |t| ~ 1e6, the per-fibre route
-# leads through 1024 rows at |t| ~ 1e5 and 1e3, and the sieve leads from
-# 2048 rows at |t| ~ 1e6 and 1e5. So 512 is low below |t| ~ 1e6; moving it
-# is a performance change, to be measured on windows either side of it.
+# 2^16) and a square root for every other one, while the tree's cost grows
+# with rows times the bits of the blocks' product. On 2 cores (README
+# "Factoring") the tree leads through 1024 rows at |t| ~ 1e6, 1e5 and 1e3,
+# the two tie at 2048 rows at |t| ~ 1e6 and between 1024 and 2048 at
+# |t| ~ 1e3, and the sieve leads at 10^4 rows. So 512 is low; moving it is
+# a performance change, to be measured on windows either side of it.
 _SIEVE_ROWS = 512
 
 
 def factorize_window(s: int, a: int, b: int, u_min: int,
                      u_max: int) -> list[Optional[dict[int, int]]]:
     """{p: e} for |t^2 - s| at t = a u + b, u = u_min..u_max; None where it
-    is 0. From _SIEVE_ROWS rows on, a sieve: p divides t^2 - s exactly when
-    t is a square root of s mod p, so the rows each prime divides form at
-    most two residue classes of u. Rows are settled in order of u, so an
+    is 0. Below _SIEVE_ROWS rows, _strip_window at k = 2: one remainder
+    tree strips the primes below the trial bound from every row. From
+    _SIEVE_ROWS rows on, a sieve: p divides t^2 - s exactly when t is a
+    square root of s mod p, so the rows each prime divides form at most two
+    residue classes of u. Either way rows are settled in order of u, so an
     unfactorable one raises factorize's ValueError at the first such u."""
     rest = [abs((a * u + b) ** 2 - s) for u in range(u_min, u_max + 1)]
     if len(rest) < _SIEVE_ROWS:
-        return [dict(factorize(m)[1]) if m else None for m in rest]
+        return _strip_window(rest, 2)
     # _split_cofactor's precondition holds with L = bound
     bound = min(_TRIAL_BOUND, math.isqrt(max(rest)))
     hits: list[list[int]] = [[] for _ in rest]

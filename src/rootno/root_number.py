@@ -11,8 +11,9 @@ divides t^2 - s but not s, so nu(s) = nu(t) = 0 and T3 is read at k = 0,
 nu(t) = 0 mod 6: w_p* = (-3/p) when e = nu_p(t^2 - s) is 2 or 4 mod 6,
 else +1. So a prime with e = 1 never changes W: ``root_number_f`` and
 ``window_signs`` read only the square-full part of t^2 - s
-(arith.square_full_factors). ``breakdown_f``, which lists every prime,
-factors t^2 - s in full.
+(arith.square_full_factors, or for a window arith._strip_window at
+k = 3). ``breakdown_f``, which lists every prime, factors t^2 - s in
+full.
 
 When s = -3 r^2, such a p divides t^2 + 3 r^2 and not 3 r, so -3 is a
 square mod p and (-3/p) = +1: every sign off 6 s is +1. ``root_number_f``
@@ -20,7 +21,8 @@ then factors nothing, not even t^2 - s, nor does ``root_number_l`` when
 S = -3 r^2: W is read at the primes of 6 s alone. ``primes_of_6s``, the
 one place those primes are derived, keeps them for the last 256 values of
 s. ``window_breakdowns`` factors the rows of a window by
-arith.factorize_window; ``window_signs`` signs each as root_number_f does.
+arith.factorize_window, which takes a short window through one remainder
+tree rather than row by row; ``window_signs`` gives the same W.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from rootno.arith import (as_minus_3_square, factorize, factorize_window,
-                          require_nonzero_int, square_full_factors)
+from rootno.arith import (_strip_window, as_minus_3_square, factorize,
+                          factorize_window, require_nonzero_int,
+                          square_full_factors)
 from rootno.families import is_singular, l_to_f
 from rootno.local_signs import _require_ints, _sign_product
 
@@ -71,15 +74,15 @@ def _breakdown(s: int, t: int, s_primes: tuple[int, ...],
     return Breakdown(s, t, -math.prod(factors.values()), factors)
 
 
-def _w(s: int, s_primes: tuple[int, ...], t: int) -> Sign:
+def _w(s: int, s_primes: tuple[int, ...], t: int, powers) -> Sign:
     """_breakdown's W of the nonsingular int fibre (s, t), s not -3 r^2,
-    from the primes of 6 s and the square-full part of t^2 - s."""
-    d = t * t - s
+    from the primes of 6 s and powers, (p, e) pairs that hold at least the
+    square-full part of t^2 - s: a pair with e = 1 changes nothing."""
     w = -1
-    for p, e in square_full_factors(abs(d)):
+    for p, e in powers:
         if p % 3 == 2 and e % 6 in (2, 4) and p not in s_primes:
             w = -w
-    return w * _sign_product(s, s_primes, t, d)
+    return w * _sign_product(s, s_primes, t, t * t - s)
 
 
 def _require_nonsingular(s: int, t: int) -> None:
@@ -107,7 +110,7 @@ def root_number_f(s: int, t: int) -> Sign:
     if (type(s) is not int or type(t) is not int
             or as_minus_3_square(s) is None):
         _require_nonsingular(s, t)
-        return _w(s, primes_of_6s(s), t)
+        return _w(s, primes_of_6s(s), t, square_full_factors(abs(t * t - s)))
     # s < 0 <= t^2, so the fibre is nonsingular
     return -_sign_product(s, primes_of_6s(s), t, t * t - s)
 
@@ -166,14 +169,20 @@ def window_signs(s: int, a: int, b: int, u_min: int,
     """W of the fibre (s, a u + b) for u = u_min..u_max, None at each
     singular fibre: the w of window_breakdowns, with its checks and errors.
 
-    Rows are signed in order of u as root_number_f signs them: at s = -3 r^2
-    none is singular and none can be unfactorable, as only s is factored.
+    At s = -3 r^2 rows are signed as root_number_f signs them, and none is
+    singular or can be unfactorable, as only s is factored. At any other s
+    the square-full parts of the rows' t^2 - s come from one
+    arith._strip_window pass at k = 3, settled in order of u, so the first
+    unfactorable row raises what root_number_f raises there.
     """
     _require_window(s, a, b, u_min, u_max)
     s_primes = primes_of_6s(s)
     ts = range(a * u_min + b, a * (u_max + 1) + b, a)
     if as_minus_3_square(s) is None:
-        return [None if t * t == s else _w(s, s_primes, t) for t in ts]
+        rows = _strip_window([abs(t * t - s) for t in ts], 3)
+        return [None if powers is None else
+                _w(s, s_primes, t, powers.items())
+                for t, powers in zip(ts, rows)]
     return [-_sign_product(s, s_primes, t, t * t - s) for t in ts]
 
 

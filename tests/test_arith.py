@@ -299,7 +299,8 @@ def test_is_prime_cache_is_bounded():
 
 
 def test_is_prime_refuses_an_n_that_is_not_an_int():
-    # the cache is typed, so True cannot read the entry that 1 leaves
+    # the type is checked ahead of the cache, so True cannot read the
+    # entry that 1 leaves
     assert is_prime(1) is False
     for n in (True, 7.0, "7"):
         with pytest.raises(ValueError, match=re.escape(

@@ -361,7 +361,7 @@ def test_scan_window_bytes_are_pinned(window):
 def test_pooled_scan_of_a_sieved_window_prints_the_pinned_bytes(
         monkeypatch, capsys):
     # the serial run sieves these 600 rows; two workers factor 300 rows
-    # each fibre by fibre, and must print the same bytes
+    # each through the remainder tree, and must print the same bytes
     assert 300 < arith._SIEVE_ROWS <= 600
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert cli.main(["scan", "--s", "4", "--a", "1", "--b", "-300",
@@ -375,33 +375,39 @@ def test_scan_refuses_a_huge_cofactor_at_its_first_row():
     # t = b + u with |t| ~ 2^143: at u = 0, t^2 + 3 is a small-prime part
     # times a 273-bit prime; at u = 1 it leaves a 284-bit composite, which
     # the JSON and CSV views, which list the primes of t^2 - s, refuse
-    # before rho or ECM starts, and nothing reaches stdout
-    argv = ("scan", "--s", "-3", "--a", "1",
-            "--b", "8727963568087712425891397479476727340041450",
-            "--u-min", "0", "--u-max", "199")
-    for fmt in ("--json", "--csv"):
+    # before rho or ECM starts, and nothing reaches stdout. 200 rows, and
+    # the halves of 600 with two jobs, take the remainder tree; 600 rows
+    # with one job take the sieve
+    assert 300 < arith._SIEVE_ROWS <= 600
+    for rows in (200, 600):
+        argv = ("scan", "--s", "-3", "--a", "1",
+                "--b", "8727963568087712425891397479476727340041450",
+                "--u-min", "0", "--u-max", str(rows - 1))
+        for fmt in ("--json", "--csv"):
+            for jobs in ("1", "2"):
+                r = run_cli(*argv, fmt, "--jobs", jobs)
+                assert r.returncode == 64
+                assert r.stdout == ""
+                assert r.stderr == (
+                    "rootno: error: refusing to split a 284-bit composite "
+                    "cofactor: the limit is 256 bits\n")
+        # the text view prints only W, which at s = -3 = -3 * 1^2 is read at
+        # the primes of 6 s alone: no row is factored, so none is refused
+        b = int(argv[6])
         for jobs in ("1", "2"):
-            r = run_cli(*argv, fmt, "--jobs", jobs)
-            assert r.returncode == 64
-            assert r.stdout == ""
-            assert r.stderr == ("rootno: error: refusing to split a 284-bit "
-                                "composite cofactor: the limit is 256 bits\n")
-    # the text view prints only W, which at s = -3 = -3 * 1^2 is read at
-    # the primes of 6 s alone: no row is factored, so none is refused
-    b = int(argv[6])
-    for jobs in ("1", "2"):
-        r = run_cli(*argv, "--jobs", jobs)
-        assert r.returncode == 0, r.stderr
-        assert r.stderr == ""
-        lines = r.stdout.splitlines()
-        assert len(lines) == 201
-        signs = [root_number_f(-3, b + u) for u in range(200)]
-        assert lines[:200] == ["u=%d t=%d W=%s" % (u, b + u, "+1" if w == 1
-                                                   else "-1")
-                               for u, w in enumerate(signs)]
-        plus, minus = signs.count(1), signs.count(-1)
-        assert lines[200] == "summary: plus=%d minus=%d singular=0 average=%s" \
-            % (plus, minus, Fraction(plus - minus, 200))
+            r = run_cli(*argv, "--jobs", jobs)
+            assert r.returncode == 0, r.stderr
+            assert r.stderr == ""
+            lines = r.stdout.splitlines()
+            assert len(lines) == rows + 1
+            signs = [root_number_f(-3, b + u) for u in range(rows)]
+            assert lines[:rows] == [
+                "u=%d t=%d W=%s" % (u, b + u, "+1" if w == 1 else "-1")
+                for u, w in enumerate(signs)]
+            plus, minus = signs.count(1), signs.count(-1)
+            assert lines[rows] == ("summary: plus=%d minus=%d singular=0 "
+                                   "average=%s" % (plus, minus, Fraction(
+                                       plus - minus, rows)))
 
 
 def test_text_scan_at_minus_3_square_factors_nothing(monkeypatch, capsys):

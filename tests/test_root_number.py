@@ -239,7 +239,8 @@ def test_singular_inputs_rejected():
 
 
 # ---------------------------------------------------------------------------
-# window_breakdowns: the sieve against breakdown_f, row by row
+# window_breakdowns: the sieve and the remainder tree against breakdown_f,
+# row by row
 # ---------------------------------------------------------------------------
 
 # primes just above 2^16, so t^2 - s = P*Q leaves a cofactor that no sieve
@@ -255,6 +256,13 @@ def _windows(draw):
                        st.integers(-10**9, 10**9)))
     u_min = draw(st.integers(-300, 300))
     rows = draw(st.integers(1, 40))
+    if draw(st.integers(0, 5)) == 0:
+        # rows of widely different sizes, from |t| = |b| <= 3 at u = 0 to
+        # |a| * 40: the blocks taken for the largest row strip more
+        # primes from the small ones than their own rule would
+        a = draw(st.sampled_from([-1, 1])) * draw(st.integers(10**4, 10**9))
+        b = draw(st.integers(-3, 3))
+        u_min = -draw(st.integers(0, rows - 1))
     sign = draw(st.sampled_from([-1, 1]))
     kind = draw(st.sampled_from(["any", "square", "prime power", "P*Q"]))
     if kind == "any":
@@ -273,15 +281,16 @@ def _windows(draw):
     return s or 1, a, b, u_min, u_min + rows - 1
 
 
-@settings(max_examples=120, deadline=None)
-@given(_windows())
-def test_window_sieve_matches_breakdown_f(window):
-    # both routes read their signs in _breakdown, so this holds the sieve's
-    # primes and exponents to factorize's, row by row
+@settings(max_examples=240, deadline=None)
+@given(_windows(), st.sampled_from([0, 1 << 30]))
+def test_window_sieve_matches_breakdown_f(window, sieve_rows):
+    # every route reads its signs in _breakdown, so this holds the sieve's
+    # and the remainder tree's primes and exponents to factorize's, row by
+    # row
     s, a, b, u_min, u_max = window
     with pytest.MonkeyPatch.context() as mp:
-        # short windows too take the sieve, not the per-fibre route
-        mp.setattr(arith, "_SIEVE_ROWS", 0)
+        # every window takes the sieve, or none does
+        mp.setattr(arith, "_SIEVE_ROWS", sieve_rows)
         got = window_breakdowns(s, a, b, u_min, u_max)
     assert len(got) == u_max - u_min + 1
     for u, bd in zip(range(u_min, u_max + 1), got):
@@ -293,6 +302,20 @@ def test_window_sieve_matches_breakdown_f(window):
         assert bd == want, (s, t)
         # ascending keys, as the scan's JSON prints them
         assert list(bd.factors) == list(want.factors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_windows())
+def test_window_signs_match_root_number_f(window):
+    # off s = -3 r^2 the rows' square-full parts come from one remainder
+    # tree at k = 3, not from square_full_factors row by row
+    s, a, b, u_min, u_max = window
+    got = window_signs(s, a, b, u_min, u_max)
+    assert len(got) == u_max - u_min + 1
+    for u, w in zip(range(u_min, u_max + 1), got):
+        t = a * u + b
+        assert w == (None if is_singular(s, t) else root_number_f(s, t)), \
+            (s, t)
 
 
 def test_window_sieve_counts_exponents_at_deep_rows():
@@ -318,8 +341,8 @@ def test_window_sieve_counts_exponents_at_deep_rows():
 
 
 def test_window_routes_agree_around_the_row_threshold():
-    # a window one row short of the threshold goes fibre by fibre, one at
-    # it through the sieve; both equal breakdown_f, including the singular
+    # a window one row short of the threshold goes through the remainder
+    # tree, one at it through the sieve; both equal breakdown_f, including the singular
     # rows of s = 4 at t = +-2
     for rows in (arith._SIEVE_ROWS - 1, arith._SIEVE_ROWS):
         got = window_breakdowns(4, 1, -60, 0, rows - 1)
@@ -329,8 +352,8 @@ def test_window_routes_agree_around_the_row_threshold():
 
 
 def test_short_window_factors_s_once(monkeypatch):
-    # a short window factors s once and each row's t^2 - s once, not s
-    # again on every row
+    # a short window factors s once, and no row goes through factorize:
+    # its rows come from one remainder tree
     calls = []
 
     def counted(n):
@@ -342,7 +365,7 @@ def test_short_window_factors_s_once(monkeypatch):
     root_number.primes_of_6s.cache_clear()
     rows = 10
     got = window_breakdowns(-972, 12, 18, 0, rows - 1)
-    assert len(calls) == rows + 1
+    assert calls == [-972]
     assert got == [breakdown_f(-972, 12 * u + 18) for u in range(rows)]
 
 
