@@ -32,15 +32,16 @@ only as the printed string; the one evaluator of each printed value is
 looked up when the row is built, and a printed value with no evaluator is
 refused at import.
 
-The rows read the unit parts of s, t and t^2 - s only mod 16 at p = 2,
-mod 9 at p = 3 and through Legendre symbols mod p at p >= 5, so a
-LocalProfile stores them reduced mod that modulus and is itself the key of
-the one cache of row hits (``_row_hit``, up to 2^12 profiles). s's part of
-a profile (nu(s), s_u and the modulus) is derived, with the check that p is
+The rows read the unit parts of s, t and t^2 - s only mod p^u, 16 at
+p = 2, 9 at p = 3 and p at p >= 5, so a LocalProfile stores them reduced
+mod p^u and is the key of the one cache of row hits (``_row_hit``, up to
+2^12 profiles). s's part of a profile is derived, with the check that p is
 prime, once per (p, s) (``_s_part``, up to 2^10 pairs); ``_profile`` adds
 t's and t^2 - s's part. ``LocalProfile.of`` builds through it, and so does
 ``_sign_product``, the one kernel that signs the primes of 6 s for
-root_number.
+root_number. ``_s_part`` also holds a class table of one byte per t mod
+p^K, p^K the largest power of p at most 2^8, where the kernel keeps the
+sign of each class whose t all share one profile (see ``_read_sign``).
 
 Known divergences between these tables and other published claims are
 deliberately NOT patched here: the rows are kept exactly as transcribed, so
@@ -111,23 +112,30 @@ def _require_ints(s: int, t: int) -> None:
         raise ValueError(f"s and t must be integers, got s={s!r}, t={t!r}")
 
 
+# a class table's byte: its class unread, signed +1 or -1, or unsettled
+_UNKNOWN, _PLUS, _MINUS, _UNSETTLED = range(4)
+_SIGN_OF = (0, 1, -1, 0)
+
+
 @lru_cache(maxsize=1 << 10, typed=True)
-def _s_part(p: int, s: int) -> tuple[int, int, int]:
-    """(nu_p(s), s_u mod M, M), M the modulus of p's tables: 16 at p = 2,
-    9 at p = 3, p at p >= 5; s is a nonzero int. p is checked here. An
-    exception is never cached, so a p that is not prime raises on every
-    call, and the typed cache keeps 2.0 and True off the entries of 2 and 1."""
+def _s_part(p: int, s: int) -> tuple[int, int, bytearray]:
+    """(nu_p(s), s_u mod p^u, table) for a nonzero int s; table is the
+    class table of (p, s), p^K bytes for p^K the largest power of p at
+    most 2^8, all _UNKNOWN. p is checked here. An exception is never
+    cached, so a p that is not prime raises on every call, and the typed
+    cache keeps 2.0 and True off the entries of 2 and 1."""
     require_prime(p)
-    mod = 16 if p == 2 else 9 if p == 3 else p
     nu_s, s_u = _int_valuation(p, s)
-    return nu_s, s_u % mod, mod
+    n = max(p ** k for k in range(9) if p ** k <= 1 << 8)
+    return nu_s, s_u % (16 if p == 2 else 9 if p == 3 else p), bytearray(n)
 
 
 def _profile(p: int, t: int, d: int,
-             s_part: tuple[int, int, int]) -> LocalProfile:
+             s_part: tuple[int, int, bytearray]) -> LocalProfile:
     """The LocalProfile at p of a checked fibre with d = t^2 - s, given
     _s_part(p, s): only t and d are reduced here."""
-    nu_s, s_u, mod = s_part
+    nu_s, s_u, _ = s_part
+    mod = 16 if p == 2 else 9 if p == 3 else p
     # most t and d are units at p: their valuation is 0 without a call
     if t % p:
         nu_t, t_u = 0, t % mod
@@ -599,12 +607,42 @@ def w_star(p: int, s: int, t: int) -> Sign:
 def _sign_product(s: int, primes: Iterable[int], t: int, d: int) -> Sign:
     """prod of w_star(p, s, t) over primes, unchecked: s and t are ints of
     a nonsingular fibre and d = t^2 - s. _s_part checks each p, and a
-    fall-through raises w_star_hit's message."""
+    fall-through raises w_star_hit's message. Signs come from the class
+    tables at t mod p^K, or from _read_sign where they hold none."""
     w = 1
+    for p in primes:
+        part = _s_part(p, s)
+        table = part[2]
+        w *= _SIGN_OF[table[t % len(table)]] or _read_sign(p, s, t, d, part)
+    return w
+
+
+def _local_sign(p: int, s: int, t: int, d: int) -> Sign:
+    """_sign_product(s, (p,), t, d), without the one-prime tuple."""
+    part = _s_part(p, s)
+    table = part[2]
+    return _SIGN_OF[table[t % len(table)]] or _read_sign(p, s, t, d, part)
+
+
+def _read_sign(p: int, s: int, t: int, d: int,
+               part: tuple[int, int, bytearray]) -> Sign:
+    """The sign at p of a fibre whose class in part's table holds none.
+
+    With unit depth u = 4, 2, 1 at p = 2, 3, >= 5 (the modulus is p^u),
+    each t' = t mod p^K has t's profile q when nu_t + u <= K and nu_d + u
+    <= min(nu_p(2t) + K, 2K), the least valuation of t'^2 - t^2. Such a
+    settled class stores its sign, read by the uncached row walk so that
+    it takes no _row_hit entry; any other, t = 0's too, is marked
+    unsettled and read through _row_hit. A fall-through stores nothing."""
+    q = _profile(p, t, d, part)
+    table = part[2]
+    c, k = t % len(table), _int_valuation(p, len(table))[0]
+    u = 4 if p == 2 else 2 if p == 3 else 1
+    settled = (table[c] != _UNSETTLED and q.nu_t + u <= k
+               and q.nu_d + u <= min(q.nu_t + (p == 2) + k, 2 * k))
     try:
-        for p in primes:
-            q = _profile(p, t, d, _s_part(p, s))
-            w *= _row_hit(q).sign
+        sign = (_row_hit.__wrapped__ if settled else _row_hit)(q).sign
     except TableFallthrough as exc:
         raise _fallthrough(q, s, t) from exc
-    return w
+    table[c] = (_PLUS if sign == 1 else _MINUS) if settled else _UNSETTLED
+    return sign

@@ -6,7 +6,9 @@ story. Twisted fibres (w, s, v; t) reduce to F-parameters first and must
 land on integers.
 
 Only the primes of 6 s go through the tables, all by one kernel,
-``local_signs._sign_product``. At any other prime p of the factor base, p
+``local_signs._sign_product`` (``_local_sign`` for one prime), which
+reads most signs from one byte per class t mod p^K, p^K <= 2^8, of a
+table kept per (p, s). At any other prime p of the factor base, p
 divides t^2 - s but not s, so nu(s) = nu(t) = 0 and T3 is read at k = 0,
 nu(t) = 0 mod 6: w_p* = (-3/p) when e = nu_p(t^2 - s) is 2 or 4 mod 6,
 else +1. So a prime with e = 1 never changes W: ``root_number_f`` and
@@ -37,7 +39,7 @@ from rootno.arith import (_strip_window, as_minus_3_square, factorize,
                           factorize_window, require_nonzero_int,
                           square_full_factors)
 from rootno.families import is_singular, l_to_f
-from rootno.local_signs import _require_ints, _sign_product
+from rootno.local_signs import _local_sign, _require_ints, _sign_product
 
 Sign = int
 Number = Union[int, Fraction]
@@ -63,12 +65,12 @@ def _breakdown(s: int, t: int, s_primes: tuple[int, ...],
                powers: dict[int, int]) -> Breakdown:
     """The Breakdown of the nonsingular int fibre (s, t), given the primes
     of 6 s and the exponent map of t^2 - s. The tables give the sign at the
-    primes of 6 s, through _sign_product with t^2 - s computed once; at
+    primes of 6 s, through _local_sign with t^2 - s computed once; at
     any other prime p the sign is T3's at nu(s) = nu(t) = 0, which is -1
     exactly when nu_p(t^2 - s) is 2 or 4 mod 6 and (-3/p) = -1, that is
     p = 2 mod 3."""
     d = t * t - s
-    factors = {p: _sign_product(s, (p,), t, d) if p in s_primes else
+    factors = {p: _local_sign(p, s, t, d) if p in s_primes else
                -1 if powers[p] % 6 in (2, 4) and p % 3 == 2 else 1
                for p in sorted(powers.keys() | s_primes)}
     return Breakdown(s, t, -math.prod(factors.values()), factors)

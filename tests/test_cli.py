@@ -346,6 +346,12 @@ _SCAN_GOLDEN = {
         "106b05963e5ef37b5ef86062d2b1ad1c0e8e0f6de5cdd0965c948499a342b50e",
     ("4", "1", "-300", "599", "--csv"):
         "8cac8d6859300cacfce6bf77a4dff6d056c212180b4ff60b4f9f4d0f544c3f6c",
+    # the scan benchmark's second window, pinned before the class tables:
+    # s = -2 * 5 * 1050449 has a tabulated p = 5 and a prime above 2^8
+    ("-10504490", "10", "202318", "499", ""):
+        "c0bb451c62e258cad65d249aadba0e1332de46fc2e90c592819580b0e9aacfc5",
+    ("-10504490", "10", "202318", "499", "--json"):
+        "1748b08b86a9ba32ebf973f8f11c42089346cf8501dc17e11929a1e92bf85cf4",
 }
 
 

@@ -10,12 +10,16 @@ algebraic properties the tables must satisfy as a whole.
 import math
 import random
 import re
+import tracemalloc
+from itertools import repeat
 
 import pytest
 
 from rootno.arith import (_int_valuation, as_minus_3_square, legendre,
                           sqrt_mod_prime_power)
 from rootno.local_signs import (
+    _MINUS,
+    _PLUS,
     _VALUES,
     TABLES,
     LocalProfile,
@@ -28,8 +32,8 @@ from rootno.local_signs import (
     w_star,
     w_star_hit,
 )
-from rootno.root_number import (breakdown_f, root_number_f, window_breakdowns,
-                                window_signs)
+from rootno.root_number import (breakdown_f, primes_of_6s, root_number_f,
+                                window_breakdowns, window_signs)
 
 RNG_SEED = 771203
 
@@ -491,6 +495,7 @@ def test_kernel_fallthrough_names_the_fibre(monkeypatch):
     _sign_product(-3, (2, 3), 1, 4)
     monkeypatch.setitem(TABLES, "T9", [])
     _row_hit.cache_clear()
+    _s_part.cache_clear()
     with pytest.raises(TableFallthrough) as kernel:
         _sign_product(-3, (3, 2), 1, 4)
     with pytest.raises(TableFallthrough) as single:
@@ -509,8 +514,114 @@ def test_s_part_cache_is_bounded_and_checks_p_on_every_miss():
     for _ in range(2):
         with pytest.raises(ValueError, match="p must be prime"):
             _sign_product(-3, (2, 4), 1, 4)
-    # the cache is typed: (2, -3) is held, (2.0, -3) and (True, -3) are not
-    assert _s_part(2, -3) == (0, 13, 16)
+    # the cache is typed: (2, -3) is held, (2.0, -3) and (True, -3) are not;
+    # its class table of 2^8 bytes has signed only t = 1's class
+    table = bytearray(1 << 8)
+    table[1] = _PLUS if w_star(2, -3, 1) == 1 else _MINUS
+    assert _s_part(2, -3) == (0, 13, table)
     for bad in (2.0, True):
         with pytest.raises(ValueError, match="p must be prime"):
             _sign_product(-3, (bad,), 1, 4)
+
+
+# ---------------------------------------------------------- the class tables
+
+# s = -3 r^2 for r in the benchmark's progression grid and for r bringing
+# in p = 7 and 13; small s of every shape at 2 and 3; -12 q^4 at q = 5, 7;
+# and the scan workload's s = -2 * 5 * 1050449, a prime above 2^20
+_TABLE_S = ([-3 * r * r for r in (1, 2, 3, 4, 5, 6, 7, 10, 12, 18, 25, 50,
+                                  13, 14, 26, 49, 91)]
+            + [1, 4, 9, 16, 2, -1, -2, 3, 5, -5, 6, 7, 10, 17]
+            + [-12 * 5**4, -12 * 7**4, -10504490])
+
+
+def _classes(p):
+    """(p^K, K): the length of the class table at p and its exponent."""
+    n, k = 1, 0
+    while n * p <= 1 << 8:
+        n, k = n * p, k + 1
+    return n, k
+
+
+def _table_fibres(s):
+    """{p: t values} for the primes of 6 s with a class table: every t in
+    [-p^(K+2), p^(K+2)] (p^(K+1) from p = 11 on, still more than ten lifts
+    of each class), and t near the p-adic roots of s to depth K + 8, where
+    nu_p(t^2 - s) runs past the settle bound."""
+    fibres = {}
+    for p in primes_of_6s(s):
+        n, k = _classes(p)
+        if k == 0:
+            continue
+        top = n * p * (p if p < 11 else 1)
+        ts = set(range(-top, top + 1))
+        nu, s_u = _int_valuation(p, s)
+        if nu % 2 == 0 and (s_u % 8 == 1 if p == 2 else legendre(s_u, p) == 1):
+            for depth in range(1, k + 9):
+                mod = p ** depth
+                root = sqrt_mod_prime_power(s_u % mod, p, depth)
+                for x in (root, mod - root, root + mod, root - 2 * mod):
+                    ts.update(p ** (nu // 2) * (x + j) for j in (-1, 0, 1))
+        fibres[p] = sorted(t for t in ts if t * t != s)
+    return fibres
+
+
+def test_class_tables_match_the_row_walk():
+    # twice over each s: first into empty tables, then out of the filled
+    # ones; then each stored sign against w_star at three far lifts
+    _s_part.cache_clear()
+    rng = random.Random(RNG_SEED)
+    fibres = {(p, s): ts for s in _TABLE_S
+              for p, ts in _table_fibres(s).items()}
+    assert {p for p, s in fibres} == {2, 3, 5, 7, 13, 17}
+    # the t near roots pass the settle bound nu_d + u <= 2K at 2, 3, 7, 13
+    for p in (2, 3, 7, 13):
+        past = p ** (2 * _classes(p)[1] + 5)
+        assert any((t * t - s) % past == 0 for (q, s), ts in fibres.items()
+                   if q == p for t in ts), p
+    expected = {(p, s): list(map(w_star, repeat(p), repeat(s), ts))
+                for (p, s), ts in fibres.items()}
+    for _ in range(2):
+        for (p, s), ts in fibres.items():
+            got = list(map(_sign_product, repeat(s), repeat((p,)), ts,
+                           [t * t - s for t in ts]))
+            assert got == expected[p, s], (p, s)
+    stored = 0
+    for p, s in fibres:
+        n, _ = _classes(p)
+        table = _s_part(p, s)[2]
+        assert len(table) == n <= 1 << 8 < n * p
+        for c, byte in enumerate(table):
+            if byte in (_PLUS, _MINUS):
+                stored += 1
+                sign = 1 if byte == _PLUS else -1
+                for j in rng.sample(range(-10**6, 10**6 + 1), 3):
+                    assert w_star(p, s, c + j * n) == sign, (p, s, c, j)
+    assert stored > 10**4
+
+
+def test_class_tables_are_bounded():
+    # 2^10 tables of 2^8 bytes, the largest there are
+    _s_part.cache_clear()
+    tracemalloc.start()
+    try:
+        for s in range(-1, -(1 << 10) - 1, -1):
+            _sign_product(s, (2,), 1, 1 - s)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _s_part.cache_info().currsize == 1 << 10
+    assert size < 0.6e6
+    assert len(_s_part(1_000_003, 7)[2]) == 1
+    _s_part.cache_clear()
+
+
+def test_a_window_out_of_filled_tables_reads_no_row_hit():
+    # every row of the scan window at s = -972 lies in a settled class at
+    # both 2 and 3, so a second pass reads the tables alone
+    window = (-972, 12, 589318, 0, 499)
+    first = window_signs(*window)
+    before = _row_hit.cache_info()
+    assert window_signs(*window) == first
+    after = _row_hit.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -14,7 +14,8 @@ from rootno.arith import factorize, legendre, sqrt_mod_prime_power, valuation
 from rootno.audit import falsify_constancy, run_paper_examples
 from rootno.constancy import check_f, check_f_p
 from rootno.families import is_singular, l_to_f
-from rootno.local_signs import TABLES, TableFallthrough, _row_hit, w_star
+from rootno.local_signs import (TABLES, TableFallthrough, _row_hit, _s_part,
+                                w_star)
 from rootno.rank_jump import rank_jump_report
 from rootno.root_number import (
     average_root_number_window,
@@ -519,6 +520,7 @@ def test_breakdown_f_names_a_fallthrough_off_the_minus_3_square_route(
     breakdown_f(10, 3)
     monkeypatch.setitem(TABLES, "T3", [])
     _row_hit.cache_clear()
+    _s_part.cache_clear()
     with pytest.raises(TableFallthrough, match=re.escape(
             "no row of T3 matched p=5, s=10, t=3 (nu_s=1, nu_t=0, nu_d=0)")
             ) as exc:
@@ -588,6 +590,7 @@ def test_minus_3_square_route_names_a_fallthrough(monkeypatch):
     root_number_f(-75, 1)
     monkeypatch.setitem(TABLES, "T3", [])
     _row_hit.cache_clear()
+    _s_part.cache_clear()
     with pytest.raises(TableFallthrough, match=re.escape(
             "no row of T3 matched p=5, s=-75, t=1 (nu_s=2, nu_t=0, nu_d=0)")):
         root_number_f(-75, 1)
